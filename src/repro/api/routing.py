@@ -26,10 +26,9 @@ cost object and per-layer schedules.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..grover.compress import (
@@ -109,10 +108,8 @@ class ExecutionPlan:
 # memoized structure + spectrum discovery
 # ---------------------------------------------------------------------------
 
+#: How many distinct problem structures (and spectra) the memos keep.
 _STRUCTURE_MEMO_CAPACITY = 32
-_structure_memo: OrderedDict[str, ProblemStructure] = OrderedDict()
-_spectrum_memo: OrderedDict[str, CompressedObjective | None] = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 def _problem_key(problem: ProblemSpec) -> str:
@@ -127,21 +124,15 @@ def memoized_structure(problem: ProblemSpec) -> ProblemStructure:
     by the sharded workers, so one instance per spec keeps everything
     consistent.
     """
-    key = _problem_key(problem)
-    with _memo_lock:
-        cached = _structure_memo.get(key)
-        if cached is not None:
-            _structure_memo.move_to_end(key)
-            return cached
-    structure = make_problem_structure(
+    return _structure_for_key(_problem_key(problem))
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_MEMO_CAPACITY)
+def _structure_for_key(key: str) -> ProblemStructure:
+    problem = ProblemSpec.from_dict(json.loads(key))
+    return make_problem_structure(
         problem.name, problem.n, seed=problem.seed, **problem.params
     )
-    with _memo_lock:
-        _structure_memo[key] = structure
-        _structure_memo.move_to_end(key)
-        while len(_structure_memo) > _STRUCTURE_MEMO_CAPACITY:
-            _structure_memo.popitem(last=False)
-    return structure
 
 
 def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
@@ -152,35 +143,25 @@ def spectrum_for(problem: ProblemSpec) -> CompressedObjective | None:
     :data:`STREAMING_SPECTRUM_LIMIT` states.  Results — including the
     negative ``None`` — are memoized per problem spec.
     """
-    key = _problem_key(problem)
-    with _memo_lock:
-        if key in _spectrum_memo:
-            _spectrum_memo.move_to_end(key)
-            return _spectrum_memo[key]
-    structure = memoized_structure(problem)
-    spectrum: CompressedObjective | None = None
+    return _spectrum_for_key(_problem_key(problem))
+
+
+@functools.lru_cache(maxsize=_STRUCTURE_MEMO_CAPACITY)
+def _spectrum_for_key(key: str) -> CompressedObjective | None:
+    structure = _structure_for_key(key)
     if structure.k is None and structure.value_of_weight is not None:
-        spectrum = hamming_weight_spectrum(structure.n, structure.value_of_weight)
-    elif structure.dim <= STREAMING_SPECTRUM_LIMIT:
-        if structure.k is None:
-            spectrum = compress_streaming(structure.cost_vectorized, structure.n)
-        else:
-            spectrum = compress_streaming_dicke(
-                structure.cost_vectorized, structure.n, structure.k
-            )
-    with _memo_lock:
-        _spectrum_memo[key] = spectrum
-        _spectrum_memo.move_to_end(key)
-        while len(_spectrum_memo) > _STRUCTURE_MEMO_CAPACITY:
-            _spectrum_memo.popitem(last=False)
-    return spectrum
+        return hamming_weight_spectrum(structure.n, structure.value_of_weight)
+    if structure.dim > STREAMING_SPECTRUM_LIMIT:
+        return None
+    if structure.k is None:
+        return compress_streaming(structure.cost_vectorized, structure.n)
+    return compress_streaming_dicke(structure.cost_vectorized, structure.n, structure.k)
 
 
 def clear_routing_memo() -> None:
     """Drop memoized structures and spectra (tests)."""
-    with _memo_lock:
-        _structure_memo.clear()
-        _spectrum_memo.clear()
+    _structure_for_key.cache_clear()
+    _spectrum_for_key.cache_clear()
 
 
 # ---------------------------------------------------------------------------

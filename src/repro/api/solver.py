@@ -16,24 +16,31 @@ equivalence with the legacy calls testable.
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
 from ..angles.result import AngleResult
+from ..backend import active_backend
 from ..core.ansatz import QAOAAnsatz
 from ..core.simulator import QAOAResult
+from ..hilbert.subspace import DickeSpace, FeasibleSpace, FullSpace
 from ..mixers.base import Mixer
 from ..portfolio.budget import Budget
 from ..problems.registry import ProblemInstance, make_problem
 from .mixers import MIXERS, make_mixer
-from .routing import ExecutionPlan, memoized_structure, select_execution_path, spectrum_for
-from .spec import ProblemSpec, SolveSpec
+from .routing import (
+    ExecutionPlan,
+    _problem_key,
+    memoized_structure,
+    select_execution_path,
+    spectrum_for,
+)
+from .spec import MixerSpec, ProblemSpec, SolveSpec
 from .strategies import run_strategy
 
 __all__ = [
@@ -47,8 +54,9 @@ __all__ = [
 #: How many distinct problem instances the module-level memo keeps warm.
 _PROBLEM_MEMO_CAPACITY = 16
 
-_problem_memo: OrderedDict[str, ProblemInstance] = OrderedDict()
-_problem_memo_lock = threading.Lock()
+#: How many built dense mixers the module-level memo keeps: one, so nothing
+#: stays resident beyond what the last solve already held.
+_MIXER_MEMO_CAPACITY = 1
 
 
 def memoized_problem(problem: ProblemSpec) -> ProblemInstance:
@@ -60,25 +68,46 @@ def memoized_problem(problem: ProblemSpec) -> ProblemInstance:
     ``run(seed=...)`` calls, the solver service — share one instance instead
     of rebuilding it per call.  A small LRU bounds residency; thread-safe.
     """
-    key = json.dumps(problem.to_dict(), sort_keys=True)
-    with _problem_memo_lock:
-        cached = _problem_memo.get(key)
-        if cached is not None:
-            _problem_memo.move_to_end(key)
-            return cached
-    instance = make_problem(problem.name, problem.n, seed=problem.seed, **problem.params)
-    with _problem_memo_lock:
-        _problem_memo[key] = instance
-        _problem_memo.move_to_end(key)
-        while len(_problem_memo) > _PROBLEM_MEMO_CAPACITY:
-            _problem_memo.popitem(last=False)
-    return instance
+    return _problem_for_key(_problem_key(problem))
+
+
+@functools.lru_cache(maxsize=_PROBLEM_MEMO_CAPACITY)
+def _problem_for_key(key: str) -> ProblemInstance:
+    problem = ProblemSpec.from_dict(json.loads(key))
+    return make_problem(problem.name, problem.n, seed=problem.seed, **problem.params)
+
+
+def _memoized_mixer(mixer: MixerSpec, space: FeasibleSpace) -> Mixer:
+    """The dense mixer ``mixer`` builds over ``space``, memoized.
+
+    Registry problems live on ``FullSpace(n)`` or ``DickeSpace(n, k)``, and a
+    mixer captures the active backend, so the canonical family, its params,
+    ``(n, k)`` and the backend name identify the operator exactly: solves of
+    different graphs with one mixer family share one eigendecomposition.
+    """
+    name = MIXERS.canonical(mixer.name) if mixer.name in MIXERS else mixer.name
+    key = {
+        "name": name,
+        "params": mixer.params,
+        "n": space.n,
+        "k": space.hamming_weight,
+        "backend": active_backend().name,
+    }
+    return _mixer_for_key(json.dumps(key, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=_MIXER_MEMO_CAPACITY)
+def _mixer_for_key(key: str) -> Mixer:
+    spec = json.loads(key)
+    n, k = spec["n"], spec["k"]
+    space = FullSpace(n) if k is None else DickeSpace(n, k)
+    return make_mixer(spec["name"], space, **spec["params"])
 
 
 def clear_problem_memo() -> None:
-    """Drop all memoized problem instances (tests and memory-pressure hooks)."""
-    with _problem_memo_lock:
-        _problem_memo.clear()
+    """Drop all memoized problem instances and mixers (tests and memory hooks)."""
+    _problem_for_key.cache_clear()
+    _mixer_for_key.cache_clear()
 
 
 @dataclass
@@ -232,7 +261,8 @@ class QAOASolver:
     """A :class:`SolveSpec` resolved into live objects, ready to run.
 
     Construction regenerates the problem instance, pre-computes its objective
-    values and builds the mixer; :meth:`run` executes the angle strategy and
+    values and builds the mixer (both memoized, see :func:`memoized_problem`
+    and ``_memoized_mixer``); :meth:`run` executes the angle strategy and
     final simulation.  Keep the solver around to re-run the same spec with
     different seeds (the expensive pre-computation is reused)::
 
@@ -294,9 +324,7 @@ class QAOASolver:
             )
         else:
             self.problem = memoized_problem(spec.problem)
-            self.mixer = make_mixer(
-                spec.mixer.name, self.problem.space, **spec.mixer.params
-            )
+            self.mixer = _memoized_mixer(spec.mixer, self.problem.space)
             self.ansatz = QAOAAnsatz.from_problem(
                 self.problem, self.mixer, spec.p, backend=backend
             )

@@ -5,8 +5,7 @@ threads or GPUs"; on our side every hot path was reduced to a handful of
 dense-algebra primitives (PRs 1/3/6): complex/real GEMMs, ``einsum``
 contractions and the GEMM-factored Walsh–Hadamard transform.  An
 :class:`ArrayBackend` packages exactly those primitives so the same kernels
-can execute on NumPy (default), PyTorch or CuPy without any algorithmic
-change.
+can execute on NumPy (default) or PyTorch without any algorithmic change.
 
 Storage policy
 --------------
@@ -15,10 +14,7 @@ accepts and returns numpy arrays (honouring ``out=`` buffers), so the
 pre-allocated :class:`~repro.core.workspace.BatchedWorkspace` buffers, the
 in-place butterflies and the interleaved re/im float views all keep working
 unchanged on every backend.  CPU backends dispatch zero-copy (torch wraps the
-same memory); CUDA backends keep the *constant* operator factors (Hadamard
-factors, eigenbases, term diagonals) resident on the device and stream the
-activations per call — the factors are ``O(dim^2)`` while activations are
-``O(dim * M)``, so large problems amortize the transfer.  ``asarray`` /
+same memory); a CUDA device transfers operands per call.  ``asarray`` /
 ``to_numpy`` convert explicitly for callers that want to hold native arrays.
 
 Dtype policy
@@ -46,7 +42,7 @@ class ArrayBackend(abc.ABC):
     backend is correct as soon as its GEMM is.
     """
 
-    #: canonical registry name ("numpy", "torch", "cupy")
+    #: canonical registry name ("numpy", "torch")
     name: str = "abstract"
     #: pinned statevector dtype (never down-cast)
     complex_dtype = np.complex128
@@ -69,7 +65,7 @@ class ArrayBackend(abc.ABC):
     @property
     @abc.abstractmethod
     def xp(self):
-        """The backend's native array namespace (``numpy``, ``torch``, ``cupy``)."""
+        """The backend's native array namespace (``numpy``, ``torch``)."""
 
     # ------------------------------------------------------------------
     # converters / allocation

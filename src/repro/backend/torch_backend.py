@@ -1,17 +1,11 @@
-"""PyTorch backend: zero-copy on CPU, cached constants + streamed I/O on CUDA.
+"""PyTorch backend: zero-copy on CPU, per-call transfers on CUDA.
 
 On CPU, ``torch.from_numpy`` wraps the caller's numpy buffers without
 copying, so ``out=`` GEMMs write directly into the pre-allocated workspace
 arrays — the shim genuinely exercises torch's kernels (and its intra-op
 threading) while the rest of the engine keeps seeing numpy.  That is the
-configuration the CI backend matrix tests on CPU wheels.
-
-On CUDA, the *operator factors* passed as ``matmul``'s first operand
-(Hadamard factors, eigenbases, term diagonals — constants per mixer) are
-cached device-side in a small LRU keyed on the host array's identity, while
-activations are transferred per call.  Factors are ``O(dim^2)`` against
-``O(dim * M)`` activations, so large problems amortize the PCIe traffic; see
-the README "Backends" section for when that trade wins.
+configuration the CI backend matrix tests on CPU wheels.  On a CUDA device
+every operand is copied to the device per call.
 
 :mod:`torch` is imported lazily, in the constructor — importing this module
 is safe on machines without torch; constructing the backend is not.
@@ -21,16 +15,12 @@ from __future__ import annotations
 
 import importlib.util
 import os
-from collections import OrderedDict
 
 import numpy as np
 
 from .base import ArrayBackend
 
 __all__ = ["TorchBackend"]
-
-#: device-side constant factors kept per backend instance
-_CONST_CACHE_ENTRIES = 64
 
 
 class TorchBackend(ArrayBackend):
@@ -46,8 +36,6 @@ class TorchBackend(ArrayBackend):
             )
         self._device = torch.device(device)
         self._is_cpu = self._device.type == "cpu"
-        # id -> (host array kept alive, device tensor); see _constant()
-        self._const_cache: OrderedDict[int, tuple[np.ndarray, object]] = OrderedDict()
 
     @classmethod
     def available(cls) -> bool:
@@ -79,26 +67,6 @@ class TorchBackend(ArrayBackend):
                 return torch.as_tensor(np.ascontiguousarray(x))
         return torch.as_tensor(np.ascontiguousarray(x), device=self._device)
 
-    def _constant(self, x):
-        """Like :meth:`_wrap`, but LRU-cached device-side for CUDA devices.
-
-        The cache key is the host array's identity; holding the array in the
-        cache entry pins that identity, and the stored-array check guards
-        against id reuse after the original was garbage collected.
-        """
-        if self._is_cpu or not isinstance(x, np.ndarray):
-            return self._wrap(x)
-        key = id(x)
-        hit = self._const_cache.get(key)
-        if hit is not None and hit[0] is x:
-            self._const_cache.move_to_end(key)
-            return hit[1]
-        tensor = self._wrap(x)
-        self._const_cache[key] = (x, tensor)
-        while len(self._const_cache) > _CONST_CACHE_ENTRIES:
-            self._const_cache.popitem(last=False)
-        return tensor
-
     def asarray(self, x, dtype=None):
         if dtype is not None:
             x = np.asarray(self.to_numpy(x), dtype=dtype)
@@ -114,7 +82,7 @@ class TorchBackend(ArrayBackend):
     # ------------------------------------------------------------------
     def matmul(self, a, b, out=None):
         torch = self._torch
-        ta = self._constant(a)
+        ta = self._wrap(a)
         tb = self._wrap(b)
         # torch.matmul requires matching dtypes; numpy promotes real x complex
         if ta.is_complex() and not tb.is_complex():
@@ -138,7 +106,7 @@ class TorchBackend(ArrayBackend):
         return self.to_numpy(result)
 
     def tensordot(self, a, b, axes):
-        result = self._torch.tensordot(self._constant(a), self._wrap(b), dims=axes)
+        result = self._torch.tensordot(self._wrap(a), self._wrap(b), dims=axes)
         return self.to_numpy(result)
 
     # ------------------------------------------------------------------
@@ -155,5 +123,4 @@ class TorchBackend(ArrayBackend):
             details["cuda"] = torch.version.cuda
         if self._device.type == "cuda":  # pragma: no cover - needs a GPU
             details["cuda_device"] = torch.cuda.get_device_name(self._device)
-            details["const_cache_entries"] = len(self._const_cache)
         return details

@@ -64,12 +64,12 @@ class FeasibleSpace:
         # wrong indices silently.  Sorting here would instead silently permute
         # the basis out from under any caller-supplied per-state arrays, so
         # unsorted input is rejected loudly (CustomSpace sorts for you).
-        if len(np.unique(labels)) != len(labels):
-            raise ValueError("feasible-state labels must be unique")
-        if labels.size > 1 and np.any(labels[1:] < labels[:-1]):
+        # Strictly ascending also means unique, so one O(dim) pass checks both.
+        if labels.size > 1 and not np.all(labels[1:] > labels[:-1]):
             raise ValueError(
-                "feasible-state labels must be in ascending order (the canonical "
-                "basis order); use CustomSpace(...) to sort arbitrary label lists"
+                "feasible-state labels must be unique and in ascending order (the "
+                "canonical basis order); use CustomSpace(...) to sort arbitrary "
+                "label lists"
             )
         object.__setattr__(self, "labels", labels)
 

@@ -15,6 +15,7 @@ eigendecomposition".  Two entry points cover that:
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +75,16 @@ class HermitianMixer(DiagonalizedMixer):
                 f"matrix dimension {dim} does not match feasible-space dimension {space.dim}"
             )
         self.name = name
-        key = f"{name}_dim{dim}"
+        # Hash the entries: matrices of one size can be different operators.
+        content = np.ascontiguousarray(matrix, dtype=np.complex128).tobytes()
+        self._cache_key = f"{name}_dim{dim}_{hashlib.sha256(content).hexdigest()[:16]}"
         eigenvalues, eigenvectors = cached_eigendecomposition(
-            file, key, lambda: np.linalg.eigh(matrix)
+            file, self._cache_key, lambda: np.linalg.eigh(matrix)
         )
         super().__init__(space, eigenvalues, eigenvectors)
 
     def cache_key(self) -> str:
-        return f"{self.name}_dim{self.dim}"
+        return self._cache_key
 
 
 class FixedUnitaryMixer(DiagonalizedMixer):

@@ -20,6 +20,7 @@ to disk (Listing 2's ``file=`` option) via :mod:`repro.io.cache`.
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Sequence
 
@@ -114,7 +115,10 @@ class XYMixer(DiagonalizedMixer):
         self.k = k
 
     def _make_key(self, n: int, k: int) -> str:
-        return f"{self.pattern_name}_n{n}_k{k}_pairs{len(self.pairs)}"
+        # Hash the pair set itself: equal n, k and pair count can still be
+        # different operators.
+        digest = hashlib.sha256(repr(self.pairs).encode("ascii")).hexdigest()[:16]
+        return f"{self.pattern_name}_n{n}_k{k}_pairs{digest}"
 
     def _compute_decomposition(self, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         mat = xy_subspace_matrix(n, k, self.pairs)

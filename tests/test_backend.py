@@ -61,7 +61,7 @@ def _backend_available(name: str) -> bool:
 
 class TestBackendRegistry:
     def test_backend_names_sorted_and_complete(self):
-        assert BACKEND_NAMES == ("cupy", "numpy", "torch")
+        assert BACKEND_NAMES == ("numpy", "torch")
 
     def test_get_backend_numpy(self):
         backend = get_backend("numpy")
@@ -76,7 +76,7 @@ class TestBackendRegistry:
     def test_unknown_backend_raises_sorted_choices(self):
         with pytest.raises(ValueError, match=r"unknown array backend 'jax'"):
             get_backend("jax")
-        with pytest.raises(ValueError, match=r"\['cupy', 'numpy', 'torch'\]"):
+        with pytest.raises(ValueError, match=r"\['numpy', 'torch'\]"):
             get_backend("jax")
 
     def test_unavailable_backend_raises_typed_error(self):
@@ -130,10 +130,11 @@ class TestEnvResolution:
         assert isinstance(backend_from_env(), NumpyBackend)
 
     def test_invalid_value_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fortran")
-        with pytest.warns(RuntimeWarning, match="ignoring invalid REPRO_BACKEND"):
-            backend = backend_from_env()
-        assert isinstance(backend, NumpyBackend)
+        for value in ("fortran", "cupy"):  # cupy is a removed backend
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            with pytest.warns(RuntimeWarning, match="ignoring invalid REPRO_BACKEND"):
+                backend = backend_from_env()
+            assert isinstance(backend, NumpyBackend)
 
     @pytest.mark.skipif(HAS_TORCH, reason="torch is installed; fallback path untestable")
     def test_uninstalled_backend_warns_and_falls_back(self, monkeypatch):

@@ -138,6 +138,19 @@ class TestSelectExecutionPath:
         first = spectrum_for(spec.problem)
         assert first is spectrum_for(spec.problem)
 
+    def test_memos_keyed_by_canonical_spec_and_cleared_together(self):
+        from repro.api import ProblemSpec
+
+        spec = ProblemSpec("hamming", 16, params={"penalty": 3.0, "sat_k": 2})
+        reordered = ProblemSpec("hamming", 16, params={"sat_k": 2, "penalty": 3.0})
+        structure, spectrum = memoized_structure(spec), spectrum_for(spec)
+        assert spectrum is not None
+        assert memoized_structure(reordered) is structure
+        assert spectrum_for(reordered) is spectrum
+        clear_routing_memo()
+        assert memoized_structure(spec) is not structure
+        assert spectrum_for(spec) is not spectrum
+
 
 class TestSolveAcrossEngines:
     """solve() results agree with the dense path wherever dense is feasible."""

@@ -370,6 +370,62 @@ class TestProblemMemo:
         assert a is not b and a is not c
         assert memoized_problem(ProblemSpec("maxcut", 6, seed=0)) is a
 
+    @staticmethod
+    def _dicke_spec(problem_seed=0, *, k=3, mixer="clique", mixer_params=None):
+        return SolveSpec.build(
+            problem="densest_subgraph", n=6, problem_seed=problem_seed,
+            problem_params={"k": k}, mixer=mixer, mixer_params=mixer_params,
+            strategy="random", strategy_params={"iters": 2}, p=1,
+        )
+
+    def test_mixer_shared_across_graphs(self):
+        from repro.api.solver import QAOASolver
+
+        clear_problem_memo()
+        first = QAOASolver(self._dicke_spec(0))
+        second = QAOASolver(self._dicke_spec(1))
+        assert first.problem is not second.problem
+        assert first.mixer is second.mixer
+
+    def test_mixer_memo_distinguishes_pairs_and_k(self):
+        from repro.api.solver import QAOASolver
+
+        clear_problem_memo()
+        k3 = QAOASolver(self._dicke_spec(k=3)).mixer
+        k2 = QAOASolver(self._dicke_spec(k=2)).mixer
+        assert k2 is not k3 and (k2.k, k3.k) == (2, 3)
+        pairs_a = {"pairs": [[0, 1], [1, 2], [2, 3]]}
+        pairs_b = {"pairs": [[0, 5], [1, 4], [2, 3]]}
+        a = QAOASolver(self._dicke_spec(mixer="xy", mixer_params=pairs_a)).mixer
+        b = QAOASolver(self._dicke_spec(mixer="xy", mixer_params=pairs_b)).mixer
+        assert a is not b
+        assert a.pairs == ((0, 1), (1, 2), (2, 3))
+        assert b.pairs == ((0, 5), (1, 4), (2, 3))
+
+    def test_mixer_memo_keyed_by_backend(self):
+        pytest.importorskip("torch")
+        from repro.api.solver import QAOASolver
+        from repro.backend import use_backend
+
+        clear_problem_memo()
+        spec = self._dicke_spec()
+        with use_backend("numpy"):
+            numpy_mixer = QAOASolver(spec).mixer
+        with use_backend("torch"):
+            torch_mixer = QAOASolver(spec).mixer
+        assert torch_mixer is not numpy_mixer
+        assert (numpy_mixer.backend.name, torch_mixer.backend.name) == ("numpy", "torch")
+
+    def test_clear_problem_memo_drops_the_mixer(self):
+        from repro.api.solver import QAOASolver
+
+        clear_problem_memo()
+        spec = self._dicke_spec()
+        first = QAOASolver(spec).mixer
+        assert QAOASolver(spec).mixer is first
+        clear_problem_memo()
+        assert QAOASolver(spec).mixer is not first
+
 
 # ---------------------------------------------------------------------------
 # Default service + sweep routing

@@ -74,6 +74,16 @@ class TestHermitianMixer:
         second = HermitianMixer(H, file=path)
         assert np.allclose(first.eigenvalues, second.eigenvalues)
 
+    def test_cache_file_keyed_by_matrix_content(self, tmp_path, rng):
+        # Same dimension, different matrix: the second mixer must not load
+        # the first one's eigenbasis from the shared file.
+        path = tmp_path / "hermitian.npz"
+        first = HermitianMixer(_random_hermitian(8, rng), file=path)
+        other = _random_hermitian(8, rng)
+        assert HermitianMixer(other).cache_key() != first.cache_key()
+        with pytest.raises(ValueError, match="expected"):
+            HermitianMixer(other, file=path)
+
 
 class TestFixedUnitaryMixer:
     def test_beta_one_reproduces_unitary(self, rng):

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from repro.hilbert import dicke_labels, hamming_weights
+from repro.io.cache import save_eigendecomposition
 from repro.mixers.xy import (
     CliqueMixer,
     RingMixer,
@@ -172,3 +173,27 @@ class TestMixerCaching:
         c = reloaded.apply(psi, 0.4)
         assert np.allclose(a, b)
         assert np.allclose(a, c)
+
+    def test_same_pair_count_different_pairs_never_share_a_basis(self, tmp_path, rng):
+        # Regression: the key used to record only how many pairs there were,
+        # so a second 3-pair mixer on the same file silently loaded the first
+        # one's eigenbasis and its apply was off by ~0.6.
+        path = tmp_path / "xy.npz"
+        first = XYMixer(6, 3, [(0, 1), (1, 2), (2, 3)], file=path)
+        with pytest.raises(ValueError, match="expected"):
+            XYMixer(6, 3, [(0, 5), (1, 4), (2, 3)], file=path)
+        # The key hashes the sorted pair set, so order and orientation don't matter.
+        reloaded = XYMixer(6, 3, [(3, 2), (0, 1), (2, 1)], file=path)
+        psi = rng.normal(size=20) + 1j * rng.normal(size=20)
+        psi /= np.linalg.norm(psi)
+        assert np.allclose(reloaded.apply(psi, 0.7), first.apply(psi, 0.7))
+        assert reloaded.cache_key() == first.cache_key()
+
+    def test_file_with_an_old_length_only_key_raises(self, tmp_path):
+        path = tmp_path / "xy.npz"
+        stale = XYMixer(6, 3, [(0, 1), (1, 2), (2, 3)])
+        save_eigendecomposition(
+            path, stale.eigenvalues, stale.eigenvectors, key="xy_n6_k3_pairs3"
+        )
+        with pytest.raises(ValueError, match="xy_n6_k3_pairs3"):
+            XYMixer(6, 3, [(0, 5), (1, 4), (2, 3)], file=path)
