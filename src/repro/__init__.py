@@ -60,7 +60,6 @@ from .core import (
     PrecomputedCost,
     QAOAAnsatz,
     QAOAResult,
-    Workspace,
     expectation_value,
     expectation_value_batch,
     get_exp_value,
@@ -146,7 +145,6 @@ __all__ = [
     "PrecomputedCost",
     "QAOAAnsatz",
     "QAOAResult",
-    "Workspace",
     "expectation_value",
     "expectation_value_batch",
     "get_exp_value",

@@ -24,7 +24,7 @@ from .simulator import (
     split_angles,
     split_angles_batch,
 )
-from .workspace import BatchedWorkspace, Workspace
+from .workspace import BatchedWorkspace
 
 __all__ = [
     "QAOAAnsatz",
@@ -52,5 +52,4 @@ __all__ = [
     "split_angles",
     "split_angles_batch",
     "BatchedWorkspace",
-    "Workspace",
 ]

@@ -4,9 +4,10 @@
 pre-computed objective values, the mixer schedule, the initial state and the
 optimization sense — behind the small callable surface the angle-finding
 optimizers need: ``expectation(angles)``, ``gradient(angles)`` and
-``simulate(angles)``.  A single pre-allocated workspace is reused across every
-call, which is where the "functionally zero overhead" repeated evaluation of
-the paper comes from.
+``simulate(angles)`` plus their batched forms.  One pre-allocated
+:class:`~repro.core.workspace.BatchedWorkspace` serves every call — a scalar
+call is its M=1 column — which is where the "functionally zero overhead"
+repeated evaluation of the paper comes from.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .gradients import (
 )
 from .precompute import PrecomputedCost
 from .simulator import QAOAResult, expectation_value, expectation_value_batch, simulate
-from .workspace import BatchedWorkspace, Workspace
+from .workspace import BatchedWorkspace
 
 __all__ = ["QAOAAnsatz"]
 
@@ -48,9 +49,13 @@ class QAOAAnsatz:
         Whether the underlying problem is a maximization (default True).
     backend:
         Optional :class:`~repro.backend.base.ArrayBackend` the ansatz's
-        workspaces (and through them every kernel call) run on; defaults to
+        workspace (and through it every kernel call) runs on; defaults to
         the process-wide active backend at construction time.
     """
+
+    # Always None.  ``perfbench/bench_trace.py`` still sums this name's
+    # buffers from when batched calls had a second workspace.
+    _batched_workspace = None
 
     def __init__(
         self,
@@ -104,10 +109,9 @@ class QAOAAnsatz:
 
             backend = active_backend()
         self.backend = backend
-        self.workspace = Workspace(schedule.dim, backend=backend)
-        # Lazily created on the first expectation_batch call; grown (never
-        # shrunk) to the largest batch seen, then reused across every sweep.
-        self._batched_workspace: BatchedWorkspace | None = None
+        #: the one workspace every scalar and batched call runs on; grown
+        #: (never shrunk) to the largest batch seen
+        self.workspace = BatchedWorkspace(schedule.dim, backend=backend)
         #: evaluation bookkeeping shared by value and gradient calls
         self.counter = EvaluationCounter()
 
@@ -168,47 +172,38 @@ class QAOAAnsatz:
         return expectation_value(
             angles,
             self.schedule,
-            self.cost.values,
+            self.cost,
             initial_state=self.initial_state,
             workspace=self.workspace,
         )
-
-    def _ensure_batched_workspace(self, batch: int) -> BatchedWorkspace:
-        if self._batched_workspace is None:
-            self._batched_workspace = BatchedWorkspace(
-                self.schedule.dim, batch, backend=self.backend
-            )
-        else:
-            self._batched_workspace.ensure(batch)
-        return self._batched_workspace
 
     def expectation_batch(self, angles: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of an ``(M, num_angles)`` angle matrix.
 
         The batched inner loop of sweep-style angle finding: all M angle sets
         evolve simultaneously as a ``(dim, M)`` state matrix through the
-        shared, pre-allocated :class:`BatchedWorkspace`.  Returns a ``(M,)``
-        float array; a single flat angle vector yields a length-1 array.
+        ansatz's workspace.  Returns a ``(M,)`` float array; a single flat
+        angle vector yields a length-1 array.
         """
         angles = np.asarray(angles, dtype=np.float64)
         if angles.ndim == 1:
             angles = angles[None, :]
-        workspace = self._ensure_batched_workspace(angles.shape[0])
         self.counter.forward_passes += angles.shape[0]
         return expectation_value_batch(
             angles,
             self.schedule,
             self.cost,
             initial_state=self.initial_state,
-            workspace=workspace,
+            workspace=self.workspace,
         )
 
     def value_and_gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
-        """Expectation value and exact adjoint-mode gradient."""
+        """Expectation value and exact adjoint-mode gradient (the M=1 row of
+        :meth:`value_and_gradient_batch`)."""
         return qaoa_value_and_gradient(
             angles,
             self.schedule,
-            self.cost.values,
+            self.cost,
             initial_state=self.initial_state,
             workspace=self.workspace,
             counter=self.counter,
@@ -220,20 +215,16 @@ class QAOAAnsatz:
         ``angles`` is an ``(M, num_angles)`` matrix of flat angle vectors (a
         single flat vector is treated as one row).  One batched forward pass
         plus one batched adjoint backward pass produce ``(M,)`` values and
-        ``(M, num_angles)`` gradients through the shared
-        :class:`BatchedWorkspace` — the kernel the vectorized multi-start
-        refiner advances all its restarts with.
+        ``(M, num_angles)`` gradients through the ansatz's workspace — the
+        kernel the vectorized multi-start refiner advances all its restarts
+        with.
         """
-        angles = np.asarray(angles, dtype=np.float64)
-        if angles.ndim == 1:
-            angles = angles[None, :]
-        workspace = self._ensure_batched_workspace(angles.shape[0])
         return qaoa_value_and_gradient_batch(
             angles,
             self.schedule,
             self.cost,
             initial_state=self.initial_state,
-            workspace=workspace,
+            workspace=self.workspace,
             counter=self.counter,
         )
 
@@ -253,7 +244,7 @@ class QAOAAnsatz:
         return qaoa_finite_difference_gradient(
             angles,
             self.schedule,
-            self.cost.values,
+            self.cost,
             initial_state=self.initial_state,
             workspace=self.workspace,
             eps=eps,
@@ -303,11 +294,11 @@ class QAOAAnsatz:
         )
 
     def sibling(self) -> "QAOAAnsatz":
-        """An equivalent ansatz with its *own* scratch workspaces.
+        """An equivalent ansatz with its *own* workspace.
 
         The cost table, mixer schedule and initial state are shared (they are
-        immutable at evaluation time); the workspaces — the only mutable
-        per-evaluation scratch — are fresh.  This is what makes concurrent
+        immutable at evaluation time); the workspace — the only mutable
+        per-evaluation scratch — is fresh.  This is what makes concurrent
         evaluation safe: one ansatz instance is **not** thread-safe, but each
         thread evaluating its own sibling is (the portfolio racer setup).
         """

@@ -32,14 +32,8 @@ import numpy as np
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
 from .precompute import PrecomputedCost
-from .simulator import (
-    _CostPhaseFactors,
-    evolve_state,
-    evolve_state_batch,
-    split_angles,
-    split_angles_batch,
-)
-from .workspace import BatchedWorkspace, Workspace
+from .simulator import _CostPhaseFactors, evolve_state_batch, split_angles_batch
+from .workspace import BatchedWorkspace
 
 __all__ = [
     "EvaluationCounter",
@@ -95,74 +89,27 @@ def qaoa_value_and_gradient(
     *,
     p: int | None = None,
     initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    workspace: BatchedWorkspace | None = None,
     counter: EvaluationCounter | None = None,
 ) -> tuple[float, np.ndarray]:
     """Expectation value and its exact gradient in one adjoint-mode pass.
 
     The gradient is returned in the same flat (betas, gammas) layout as the
     input angles.  Multi-angle layers are supported: each per-term beta gets
-    its own derivative component.
+    its own derivative component.  This is the M=1 row call of
+    :func:`qaoa_value_and_gradient_batch`, the one adjoint recursion.
     """
     angles = np.asarray(angles, dtype=np.float64).ravel()
-    schedule, values = _prepare(mixer, obj_vals, p, angles)
-    betas, gammas = split_angles(angles, schedule)
-    dim = schedule.dim
-
-    if workspace is None:
-        workspace = Workspace(dim)
-    layer_store = workspace.ensure_layers(schedule.p)
-
-    if initial_state is None:
-        initial_state = schedule.initial_state()
-
-    # Forward pass, recording per-round intermediate states.
-    psi = evolve_state(
-        betas, gammas, schedule, values, initial_state,
-        workspace=workspace, layer_store=layer_store,
+    values, gradients = qaoa_value_and_gradient_batch(
+        angles[None, :],
+        mixer,
+        obj_vals,
+        p=p,
+        initial_state=initial_state,
+        workspace=workspace,
+        counter=counter,
     )
-    if counter is not None:
-        counter.forward_passes += 1
-    energy = float(np.real(np.vdot(psi, values * psi)))
-
-    # Backward (adjoint) pass.
-    from ..mixers.xmixer import MultiAngleXMixer
-
-    phi = values * psi  # C |psi_p>
-    grad_betas: list[np.ndarray] = [None] * schedule.p  # type: ignore[list-item]
-    grad_gammas = np.empty(schedule.p, dtype=np.float64)
-
-    for k in range(schedule.p - 1, -1, -1):
-        mixer_k = schedule[k]
-        psi_k = layer_store[k, 1, :]
-        chi_k = layer_store[k, 0, :]
-        beta_k = betas[k]
-
-        if isinstance(mixer_k, MultiAngleXMixer):
-            grads = np.empty(mixer_k.num_angles, dtype=np.float64)
-            for t in range(mixer_k.num_angles):
-                h_psi = mixer_k.apply_hamiltonian_term(psi_k, t)
-                grads[t] = 2.0 * float(np.imag(np.vdot(phi, h_psi)))
-                if counter is not None:
-                    counter.hamiltonian_applications += 1
-            grad_betas[k] = grads
-            phi = mixer_k.apply(phi, -np.asarray(beta_k))
-        else:
-            h_psi = mixer_k.apply_hamiltonian(psi_k)
-            if counter is not None:
-                counter.hamiltonian_applications += 1
-            grad_betas[k] = np.array([2.0 * float(np.imag(np.vdot(phi, h_psi)))])
-            phi = mixer_k.apply(phi, -float(beta_k[0]))
-
-        # Gamma derivative uses the adjoint state *before* the mixer.
-        grad_gammas[k] = 2.0 * float(np.imag(np.vdot(phi, values * chi_k)))
-        if k:
-            # Undo the phase separator to obtain phi_{k-1}; phi_{-1} is
-            # never read, so the last round skips it.
-            phi = phi * np.exp(1j * gammas[k] * values)
-
-    gradient = np.concatenate([np.concatenate(grad_betas), grad_gammas])
-    return energy, gradient
+    return float(values[0]), gradients[0]
 
 
 def qaoa_gradient(
@@ -203,17 +150,15 @@ def qaoa_value_and_gradient_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Expectation values and exact adjoint gradients for M angle sets at once.
 
-    The batched analogue of :func:`qaoa_value_and_gradient`: ``angles`` is an
-    ``(M, num_angles)`` matrix whose rows are flat (betas, gammas) vectors.
-    One ``(dim, M)`` forward pass records the per-round intermediate batches
-    in the workspace's layer store, then one batched backward pass walks the
-    adjoint recursion with the same BLAS-3 mixer kernels
-    (:meth:`~repro.mixers.base.Mixer.apply_batch` with negated betas and
-    :meth:`~repro.mixers.base.Mixer.apply_hamiltonian_batch`), so the
-    per-angle-set cost matches the batched evaluation engine's rather than the
-    scalar adjoint loop's.  Returns ``(values, gradients)`` with shapes
-    ``(M,)`` and ``(M, num_angles)``; rows agree with the scalar path to
-    ~1e-12.
+    ``angles`` is an ``(M, num_angles)`` matrix whose rows are flat (betas,
+    gammas) vectors.  One ``(dim, M)`` forward pass records the per-round
+    intermediate batches in the workspace's layer store, then one batched
+    backward pass walks the adjoint recursion with the same BLAS-3 mixer
+    kernels (:meth:`~repro.mixers.base.Mixer.apply_batch` with negated betas
+    and :meth:`~repro.mixers.base.Mixer.apply_hamiltonian_batch`).  This is
+    the package's only dense adjoint recursion; :func:`qaoa_value_and_gradient`
+    is its M=1 row.  Returns ``(values, gradients)`` with shapes ``(M,)`` and
+    ``(M, num_angles)``.
 
     Memory: the layer store holds ``p * 2 * dim * M`` complex128 values —
     chunk large batches (as the vectorized multi-start refiner does) to bound
@@ -352,7 +297,7 @@ def qaoa_finite_difference_gradient(
     *,
     p: int | None = None,
     initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    workspace: BatchedWorkspace | None = None,
     eps: float = 1e-6,
     scheme: str = "central",
     counter: EvaluationCounter | None = None,
@@ -366,15 +311,15 @@ def qaoa_finite_difference_gradient(
     from .simulator import expectation_value
 
     angles = np.asarray(angles, dtype=np.float64).ravel()
-    schedule, values = _prepare(mixer, obj_vals, p, angles)
+    schedule, _ = _prepare(mixer, obj_vals, p, angles)
     if workspace is None:
-        workspace = Workspace(schedule.dim)
+        workspace = BatchedWorkspace(schedule.dim)
 
     def func(a: np.ndarray) -> float:
         if counter is not None:
             counter.forward_passes += 1
         return expectation_value(
-            a, schedule, values, initial_state=initial_state, workspace=workspace
+            a, schedule, obj_vals, initial_state=initial_state, workspace=workspace
         )
 
     return finite_difference_gradient(func, angles, eps=eps, scheme=scheme)

@@ -12,8 +12,10 @@ amplitudes and the probability of measuring an optimal state, mirroring the
 ``simulate`` / ``get_exp_value`` API of the paper's Listing 1.
 
 Each round is a diagonal phase multiply (the phase separator never needs a
-matrix) followed by one mixer application; all buffers can be supplied through
-a :class:`~repro.core.workspace.Workspace` so that repeated calls inside the
+matrix) followed by one mixer application.  The batched entry points evolve M
+angle sets as the columns of one ``(dim, M)`` matrix, and every scalar entry
+point is their M=1 row call.  All buffers can be supplied through one
+:class:`~repro.core.workspace.BatchedWorkspace`, so repeated calls inside the
 angle-finding loop allocate nothing.
 """
 
@@ -28,7 +30,7 @@ from ..backend import active_backend
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
 from .precompute import PrecomputedCost
-from .workspace import BatchedWorkspace, Workspace
+from .workspace import BatchedWorkspace
 
 __all__ = [
     "QAOAResult",
@@ -241,45 +243,6 @@ class _CostPhaseFactors:
         return phases
 
 
-def _as_schedule(mixer: Mixer | Sequence[Mixer] | MixerSchedule, p: int) -> MixerSchedule:
-    if isinstance(mixer, MixerSchedule):
-        return mixer
-    return MixerSchedule(mixer, rounds=p)
-
-
-def _as_cost(obj_vals, space) -> PrecomputedCost:
-    if isinstance(obj_vals, PrecomputedCost):
-        return obj_vals
-    return PrecomputedCost(values=np.asarray(obj_vals, dtype=np.float64), space=space)
-
-
-def _dim_of(mixer: Mixer | Sequence[Mixer] | MixerSchedule) -> int:
-    """Simulation dimension of a mixer / mixer list / schedule argument."""
-    if isinstance(mixer, (MixerSchedule, Mixer)):
-        return mixer.dim
-    return next(iter(mixer)).dim
-
-
-def _scalar_call_workspace(
-    workspace: Workspace | BatchedWorkspace | None, dim: int
-) -> BatchedWorkspace | None:
-    """Adapt a scalar entry point's workspace argument for the batched engine.
-
-    A :class:`Workspace` is checked against ``dim``, counted as served, and
-    swapped for its cached single-column companion; a ``BatchedWorkspace``
-    passes straight through (the batched engine re-validates it); ``None``
-    stays ``None``.
-    """
-    if workspace is None or isinstance(workspace, BatchedWorkspace):
-        return workspace
-    if not workspace.compatible_with(dim):
-        raise ValueError(
-            f"workspace dimension {workspace.dim} does not match simulation dimension {dim}"
-        )
-    workspace.calls_served += 1
-    return workspace.batched()
-
-
 def evolve_state(
     betas: Sequence[np.ndarray] | np.ndarray,
     gammas: np.ndarray,
@@ -287,55 +250,30 @@ def evolve_state(
     cost_values: np.ndarray,
     initial_state: np.ndarray,
     *,
-    workspace: Workspace | None = None,
-    layer_store: np.ndarray | None = None,
+    workspace: BatchedWorkspace | None = None,
 ) -> np.ndarray:
     """Apply ``p`` QAOA rounds to ``initial_state`` and return the final state.
 
     ``betas`` is a per-round list (each entry a scalar array, or a vector for
     multi-angle layers); ``gammas`` is the length-``p`` phase-separator angle
-    vector.  If ``layer_store`` (shape ``(p, 2, dim)``) is given, the state
-    after each phase separator and after each mixer is recorded — this is what
-    the analytic gradient consumes.
+    vector.
 
     This is the M=1 column call of :func:`evolve_state_batch` (there is
-    exactly one evolution code path per mixer family); the single-column
-    buffers come from the workspace's cached
-    :meth:`~repro.core.workspace.Workspace.batched` companion, so repeated
-    calls still allocate nothing.  The returned ``(dim,)`` state is a view
-    into that companion's state buffer — copy it to keep it across calls.
+    exactly one evolution code path per mixer family), so repeated calls on
+    one workspace allocate nothing.  The returned ``(dim,)`` state is a view
+    into the workspace's state buffer — copy it to keep it across calls.
     """
-    gammas = np.asarray(gammas, dtype=np.float64).ravel()
-    if len(gammas) != schedule.p:
-        raise ValueError(f"expected {schedule.p} gamma angles, got {len(gammas)}")
-    if isinstance(betas, np.ndarray) and betas.ndim == 1 and len(betas) == schedule.p:
-        betas = [np.atleast_1d(b) for b in betas]
-    if len(betas) != schedule.p:
-        raise ValueError(f"expected {schedule.p} beta entries, got {len(betas)}")
-
-    dim = schedule.dim
-    cost_values = np.asarray(cost_values, dtype=np.float64)
-    if cost_values.shape != (dim,):
-        raise ValueError(f"objective values have shape {cost_values.shape}, expected ({dim},)")
-
-    batched = _scalar_call_workspace(workspace, dim)
-
+    # Shapes (round counts, objective length) are validated by the batched call.
     beta_cols = [
         np.atleast_1d(np.asarray(beta_k, dtype=np.float64)).reshape(-1, 1) for beta_k in betas
     ]
-    store = (
-        None
-        if layer_store is None
-        else layer_store[: schedule.p].reshape(schedule.p, 2, dim, 1)
-    )
     psi = evolve_state_batch(
         beta_cols,
-        gammas.reshape(-1, 1),
+        np.asarray(gammas, dtype=np.float64).reshape(-1, 1),
         schedule,
         cost_values,
         initial_state,
-        workspace=batched,
-        layer_store=store,
+        workspace=workspace,
     )
     return psi[:, 0]
 
@@ -421,7 +359,7 @@ def simulate(
     *,
     p: int | None = None,
     initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    workspace: BatchedWorkspace | None = None,
     maximize: bool = True,
 ) -> QAOAResult:
     """Simulate a ``p``-round QAOA and return a :class:`QAOAResult`.
@@ -444,7 +382,8 @@ def simulate(
         Optional initial statevector (defaults to the mixer's uniform
         superposition over the feasible space; pass e.g. a warm start here).
     workspace:
-        Optional pre-allocated :class:`~repro.core.workspace.Workspace`.
+        Optional pre-allocated :class:`~repro.core.workspace.BatchedWorkspace`
+        (its first column serves the simulation).
     maximize:
         Recorded on the result's cost object (used for optimal-state queries).
 
@@ -454,14 +393,13 @@ def simulate(
     angles = np.asarray(angles, dtype=np.float64).ravel()
     if isinstance(mixer, Mixer) and p is None and angles.size % 2:
         raise ValueError("cannot infer p from an odd-length angle vector; pass p explicitly")
-    batched = _scalar_call_workspace(workspace, _dim_of(mixer))
     results = simulate_batch(
         angles[None, :],
         mixer,
         obj_vals,
         p=p,
         initial_state=initial_state,
-        workspace=batched,
+        workspace=workspace,
         maximize=maximize,
     )
     return results[0]
@@ -543,7 +481,7 @@ def expectation_value(
     *,
     p: int | None = None,
     initial_state: np.ndarray | None = None,
-    workspace: Workspace | None = None,
+    workspace: BatchedWorkspace | None = None,
 ) -> float:
     """Fast path returning only ``<C>`` (what the angle-finding inner loop calls).
 
@@ -551,14 +489,13 @@ def expectation_value(
     path per mixer family, shared by the scalar and batched engines.
     """
     angles = np.asarray(angles, dtype=np.float64).ravel()
-    batched = _scalar_call_workspace(workspace, _dim_of(mixer))
     values = expectation_value_batch(
         angles[None, :],
         mixer,
         obj_vals,
         p=p,
         initial_state=initial_state,
-        workspace=batched,
+        workspace=workspace,
     )
     return float(values[0])
 

@@ -44,9 +44,10 @@ class Mixer(abc.ABC):
         #: the array backend the mixer's dense kernels dispatch through when no
         #: workspace (which carries its own backend) is supplied
         self.backend = backend if backend is not None else active_backend()
-        # Per-thread M=1 workspace backing the scalar entry points (which are
-        # single-column calls of the batched kernels); thread-local because
-        # concurrent angle scans may share one mixer.
+        # The M=1 workspace behind apply / apply_hamiltonian (single-column
+        # calls of the batched kernels), so those allocate nothing given
+        # ``out``.  Thread-local because concurrent angle scans may share one
+        # mixer; the simulator passes its own workspace and never uses it.
         self._scalar_store = threading.local()
 
     # ------------------------------------------------------------------
@@ -111,8 +112,6 @@ class Mixer(abc.ABC):
         psi: np.ndarray,
         beta: float,
         out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``exp(-i beta H_M) |psi>``.
 
@@ -123,11 +122,8 @@ class Mixer(abc.ABC):
 
         This base implementation is the M=1 column call of
         :meth:`apply_batch`, served from a cached per-thread workspace so it
-        allocates nothing when ``out`` is supplied.  ``scratch`` is accepted
-        for backward compatibility and ignored — scratch now comes from that
-        workspace.
+        allocates nothing when ``out`` is supplied.
         """
-        del scratch  # superseded by the per-thread M=1 workspace
         if type(self).apply_batch is Mixer.apply_batch:
             raise NotImplementedError(
                 f"{type(self).__name__} implements neither apply nor apply_batch"
@@ -145,15 +141,12 @@ class Mixer(abc.ABC):
         self,
         psi: np.ndarray,
         out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """Return ``H_M |psi>`` (used by analytic gradients).
 
         The M=1 column call of :meth:`apply_hamiltonian_batch`; see
         :meth:`apply` for the buffer contract.
         """
-        del scratch  # superseded by the per-thread M=1 workspace
         if type(self).apply_hamiltonian_batch is Mixer.apply_hamiltonian_batch:
             raise NotImplementedError(
                 f"{type(self).__name__} implements neither apply_hamiltonian "
@@ -365,21 +358,6 @@ class DiagonalizedMixer(Mixer):
         self._Vdag = np.ascontiguousarray(self._V.conj().T)
         # historical name, still used by matrix() and external callers
         self._eigenvectors_dag = self._Vdag
-        # Per-call scratch (the uniform-batch phase vector) so repeated layer
-        # applications allocate nothing.  Kept thread-local: concurrent angle
-        # scans sharing one mixer would otherwise interleave writes to shared
-        # scratch and corrupt results.
-        self._scratch_store = threading.local()
-
-    def _scratches(self) -> tuple[np.ndarray, np.ndarray]:
-        """This thread's (coeff, phase) scratch vectors, allocated on first use."""
-        store = self._scratch_store
-        try:
-            return store.coeff, store.phase
-        except AttributeError:
-            store.coeff = np.empty(self.dim, dtype=np.complex128)
-            store.phase = np.empty(self.dim, dtype=np.complex128)
-            return store.coeff, store.phase
 
     def _basis_change(
         self, factor: np.ndarray, src: np.ndarray, out: np.ndarray, backend=None
@@ -421,8 +399,9 @@ class DiagonalizedMixer(Mixer):
         self._basis_change(self._Vdag, Psi, coeffs, bk)
         if M > 0 and betas.min() == betas.max():
             # Uniform batch (every column shares one angle): a single phase
-            # vector broadcasts across columns, skipping the (dim, M) outer.
-            phase_vec = self._scratches()[1]
+            # vector — the first dim elements of the phase buffer —
+            # broadcasts across columns, skipping the (dim, M) outer.
+            phase_vec = phases.reshape(-1)[: self.dim]
             np.multiply(self.eigenvalues, -1j * float(betas[0]), out=phase_vec)
             np.exp(phase_vec, out=phase_vec)
             coeffs *= phase_vec[:, None]

@@ -358,8 +358,6 @@ class MultiAngleXMixer(Mixer):
         psi: np.ndarray,
         beta,
         out: np.ndarray | None = None,
-        *,
-        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """One multi-angle layer; ``beta`` is a ``(num_angles,)`` vector.
 
@@ -368,7 +366,6 @@ class MultiAngleXMixer(Mixer):
         override reshapes it to a ``(num_angles, 1)`` batch and defers to
         :meth:`apply_batch` like every other scalar entry point.
         """
-        del scratch  # superseded by the per-thread M=1 workspace
         betas = np.atleast_1d(np.asarray(beta, dtype=np.float64))
         if betas.shape == (1,) and self.num_angles > 1:
             betas = np.full(self.num_angles, betas[0])

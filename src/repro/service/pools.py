@@ -9,7 +9,7 @@ the same live :class:`WarmEntry`.
 
 Residency is bounded two ways: an entry-count LRU and a byte budget accounted
 with the analytic estimates of :func:`repro.hpc.memory.warm_entry_bytes`
-(objective values + workspaces + the dense eigendecomposition for
+(objective values + the workspace + the dense eigendecomposition for
 diagonalized mixer families).  Estimates are recomputed at eviction time
 because an entry's :class:`~repro.core.workspace.BatchedWorkspace` grows with
 the largest batch it has served.
@@ -104,12 +104,11 @@ class WarmEntry:
                 kind="compressed",
                 distinct=distinct,
             )
-        workspace = self.ansatz._batched_workspace
         dense = isinstance(self.mixer, DiagonalizedMixer)
         return warm_entry_bytes(
             self.ansatz.schedule.dim,
             p=self.ansatz.p,
-            batch_capacity=0 if workspace is None else workspace.capacity,
+            batch_capacity=self.ansatz.workspace.capacity,
             dense_eigenvectors=dense,
             complex_vectors=dense and not self.mixer._real_basis,
         )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import PrecomputedCost, QAOAAnsatz
 from repro.hilbert import DickeSpace
-from repro.mixers import CliqueMixer, MixerSchedule, MultiAngleXMixer, transverse_field_mixer
+from repro.mixers import CliqueMixer, MixerSchedule, MultiAngleXMixer, mixer_clique
 from repro.problems import densest_subgraph_values
 
 
@@ -98,6 +101,84 @@ class TestEvaluation:
         for seed in range(4):
             ansatz.expectation(ansatz.random_angles(seed))
         assert ansatz.workspace.calls_served == before + 4
+
+
+class TestOneWorkspace:
+    """Scalar calls are the M=1 rows of the batched kernels on one workspace."""
+
+    def test_scalar_gradient_is_row_zero_of_batch(self, maxcut_obj, tf_mixer_6):
+        ansatz = QAOAAnsatz(maxcut_obj, tf_mixer_6, 3)
+        x = ansatz.random_angles(4)
+        value, grad = ansatz.value_and_gradient(x)
+        values, grads = ansatz.value_and_gradient_batch(x[None, :])
+        assert value == values[0]
+        assert np.array_equal(grad, grads[0])
+        assert ansatz.expectation(x) == ansatz.expectation_batch(x[None, :])[0]
+
+    def test_scalar_calls_reuse_cached_phase_levels(self, monkeypatch, maxcut_obj, tf_mixer_6):
+        ansatz = QAOAAnsatz(maxcut_obj, tf_mixer_6, 2)
+        x = ansatz.random_angles(0)
+        ansatz.value_and_gradient(x)  # warm-up computes the phase levels once
+        calls = []
+        original = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        for _ in range(5):
+            ansatz.expectation(x)
+            ansatz.value_and_gradient(x)
+        assert calls == []
+
+    def test_siblings_sharing_a_mixer_across_threads(self):
+        """Racer pattern: two siblings of one ansatz share a diagonalized mixer."""
+        mixer = mixer_clique(8, 4)
+        obj = np.random.default_rng(3).random(mixer.dim)
+        base = QAOAAnsatz(obj, mixer, 2)
+        rng = np.random.default_rng(5)
+        inputs = []
+        for _ in range(2):
+            x = base.random_angles(rng)
+            # Every row shares its betas, so the mixer takes the uniform-angle
+            # path; 64 columns make its (dim, M) multiplies long enough for
+            # NumPy to drop the GIL, which lets the two threads overlap there.
+            uniform = np.tile(x, (64, 1))
+            uniform[:, base.p :] = 2.0 * np.pi * rng.random((64, base.p))
+            inputs.append((x, uniform))
+
+        def run(ansatz, x, uniform):
+            out = []
+            for _ in range(50):
+                value, grad = ansatz.value_and_gradient(x)
+                out.append((value, grad.copy(), ansatz.expectation_batch(uniform).copy()))
+            return out
+
+        serial = [run(base.sibling(), *args) for args in inputs]
+        results = [None, None]
+        siblings = [base.sibling(), base.sibling()]
+
+        def worker(i):
+            results[i] = run(siblings[i], *inputs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, serial):
+            assert len(got) == len(want)
+            for (value, grad, batch), (value0, grad0, batch0) in zip(got, want):
+                assert value == value0
+                assert np.array_equal(grad, grad0)
+                assert np.array_equal(batch, batch0)
 
 
 class TestWithRounds:

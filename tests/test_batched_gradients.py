@@ -1,18 +1,21 @@
-"""Batched-vs-scalar equivalence for the adjoint-gradient engine.
+"""Batched adjoint-gradient engine against a dense scalar oracle.
 
 The batched gradient kernel evolves M angle sets as one ``(dim, M)`` matrix
-through a recorded forward pass and a batched adjoint backward pass; these
-tests pin it to the scalar one-angle-set-at-a-time path across every mixer
-family (including mixed multi-angle schedules), pin every mixer's
-``apply_hamiltonian_batch`` to a column loop over ``apply_hamiltonian``, and
-check that the vectorized multi-start refiner reaches scipy-BFGS-quality
-optima on the tier-1 problems.
+through a recorded forward pass and a batched adjoint backward pass.  These
+tests pin every row to an independent one-angle-set-at-a-time oracle (the
+adjoint recursion on dense vectors with ``scipy.linalg.expm`` layer
+unitaries) across every mixer family, including mixed multi-angle schedules;
+pin the scalar ``qaoa_value_and_gradient`` to row 0 of the batched call; pin
+every mixer's ``apply_hamiltonian_batch`` to a column loop over
+``apply_hamiltonian``; and check that the vectorized multi-start refiner
+reaches scipy-BFGS-quality optima on the tier-1 problems.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from repro.angles import (
     find_angles_random,
@@ -24,6 +27,7 @@ from repro.core import (
     QAOAAnsatz,
     qaoa_value_and_gradient,
     qaoa_value_and_gradient_batch,
+    split_angles,
 )
 from repro.core.gradients import finite_difference_gradient
 from repro.hilbert import state_matrix
@@ -68,9 +72,61 @@ def _mixer(kind: str):
 
 _ALL_KINDS = ["x", "grover-full", "grover-dicke", "clique", "ring", "hermitian"]
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _kron_x_term(term, n):
+    """Dense matrix of prod_{i in term} X_i on n qubits (qubit 0 = LSB)."""
+    mat = np.eye(1)
+    for qubit in range(n - 1, -1, -1):
+        mat = np.kron(mat, _X if qubit in term else np.eye(2))
+    return mat
+
+
+def _layer_hamiltonians(mixer):
+    """One dense Hamiltonian per angle of a layer (per X-product term if multi-angle)."""
+    if isinstance(mixer, MultiAngleXMixer):
+        return [_kron_x_term(term, mixer.n) for term in mixer.terms]
+    return [mixer.matrix()]
+
+
+def _dense_oracle(angles, schedule, obj, initial_state=None):
+    """Value and gradient of one angle set by the adjoint recursion on dense vectors.
+
+    Uses none of the engine's evolution kernels: each layer unitary is
+    ``expm`` of the dense Hamiltonians (the terms of a multi-angle layer
+    commute).
+    """
+    betas, gammas = split_angles(angles, schedule)
+    psi = schedule.initial_state() if initial_state is None else initial_state
+    layers = []
+    for mixer, beta_k, gamma_k in zip(schedule, betas, gammas):
+        hams = _layer_hamiltonians(mixer)
+        unitary = sla.expm(-1j * sum(b * h for b, h in zip(beta_k, hams)))
+        chi = np.exp(-1j * gamma_k * obj) * psi
+        psi = unitary @ chi
+        layers.append((chi, psi, hams, unitary))
+    value = float(np.real(np.vdot(psi, obj * psi)))
+    phi = obj * psi
+    grad_betas, grad_gammas = [], []
+    for (chi, psi_k, hams, unitary), gamma_k in zip(reversed(layers), gammas[::-1]):
+        grad_betas.append([2.0 * np.imag(np.vdot(phi, h @ psi_k)) for h in hams])
+        phi = unitary.conj().T @ phi
+        grad_gammas.append(2.0 * np.imag(np.vdot(phi, obj * chi)))
+        phi = np.exp(1j * gamma_k * obj) * phi
+    gradient = np.concatenate([np.concatenate(grad_betas[::-1]), grad_gammas[::-1]])
+    return value, gradient
+
+
+def _assert_rows_match_oracle(angles, schedule, obj, values, grads, initial_state=None):
+    for j in range(len(angles)):
+        value, grad = _dense_oracle(angles[j], schedule, obj, initial_state)
+        assert abs(values[j] - value) <= 1e-10
+        assert np.abs(grads[j] - grad).max() <= 1e-10
+
 
 # ---------------------------------------------------------------------------
-# batched value-and-gradient vs scalar adjoint
+# batched value-and-gradient vs the dense scalar oracle
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", _ALL_KINDS)
@@ -84,10 +140,7 @@ def test_value_and_gradient_batch_matches_scalar(kind, p, batch):
     values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=p)
     assert values.shape == (batch,)
     assert grads.shape == (batch, 2 * p)
-    for j in range(batch):
-        value, grad = qaoa_value_and_gradient(angles[j], mixer, obj, p=p)
-        assert abs(values[j] - value) <= 1e-10
-        assert np.abs(grads[j] - grad).max() <= 1e-10
+    _assert_rows_match_oracle(angles, MixerSchedule(mixer, rounds=p), obj, values, grads)
 
 
 def test_multiangle_value_and_gradient_batch():
@@ -99,10 +152,7 @@ def test_multiangle_value_and_gradient_batch():
     angles = rng.uniform(-1, 1, size=(6, num_angles))
     values, grads = qaoa_value_and_gradient_batch(angles, schedule, obj)
     assert grads.shape == (6, num_angles)
-    for j in range(6):
-        value, grad = qaoa_value_and_gradient(angles[j], schedule, obj)
-        assert abs(values[j] - value) <= 1e-10
-        assert np.abs(grads[j] - grad).max() <= 1e-10
+    _assert_rows_match_oracle(angles, schedule, obj, values, grads)
 
 
 def test_mixed_schedule_value_and_gradient_batch():
@@ -115,10 +165,7 @@ def test_mixed_schedule_value_and_gradient_batch():
     rng = np.random.default_rng(9)
     angles = rng.uniform(-np.pi, np.pi, size=(5, num_angles))
     values, grads = qaoa_value_and_gradient_batch(angles, schedule, obj)
-    for j in range(5):
-        value, grad = qaoa_value_and_gradient(angles[j], schedule, obj)
-        assert abs(values[j] - value) <= 1e-10
-        assert np.abs(grads[j] - grad).max() <= 1e-10
+    _assert_rows_match_oracle(angles, schedule, obj, values, grads)
 
 
 def test_batch_gradient_with_initial_state():
@@ -129,10 +176,8 @@ def test_batch_gradient_with_initial_state():
     init /= np.linalg.norm(init)
     angles = 2.0 * np.pi * rng.random((4, 4))
     values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=2, initial_state=init)
-    for j in range(4):
-        value, grad = qaoa_value_and_gradient(angles[j], mixer, obj, p=2, initial_state=init)
-        assert abs(values[j] - value) <= 1e-10
-        assert np.abs(grads[j] - grad).max() <= 1e-10
+    schedule = MixerSchedule(mixer, rounds=2)
+    _assert_rows_match_oracle(angles, schedule, obj, values, grads, initial_state=init)
 
 
 def test_single_flat_angle_vector_is_one_row():
@@ -142,9 +187,10 @@ def test_single_flat_angle_vector_is_one_row():
     values, grads = qaoa_value_and_gradient_batch(angles, mixer, obj, p=2)
     assert values.shape == (1,)
     assert grads.shape == (1, 4)
+    # The scalar call is the M=1 row of the batched one, bit for bit.
     value, grad = qaoa_value_and_gradient(angles, mixer, obj, p=2)
-    assert abs(values[0] - value) <= 1e-12
-    assert np.abs(grads[0] - grad).max() <= 1e-12
+    assert value == values[0]
+    assert np.array_equal(grad, grads[0])
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +304,10 @@ class TestBatchedGradientWorkspace:
         ansatz = QAOAAnsatz(obj, transverse_field_mixer(_N), 2)
         rng = np.random.default_rng(1)
         ansatz.value_and_gradient_batch(2.0 * np.pi * rng.random((8, 4)))
-        ws = ansatz._batched_workspace
-        assert ws is not None and ws.capacity == 8
+        ws = ansatz.workspace
+        assert ws.capacity == 8
         ansatz.value_and_gradient_batch(2.0 * np.pi * rng.random((3, 4)))
-        assert ansatz._batched_workspace is ws and ws.capacity == 8
+        assert ansatz.workspace is ws and ws.capacity == 8
         assert ansatz.counter.forward_passes == 11
         assert ansatz.counter.hamiltonian_applications == 2 * 11
 
@@ -399,8 +445,7 @@ class TestFindAnglesRandomRewire:
         """The workspace never grows to the full (dim, iters) batch."""
         ansatz = _maxcut_ansatz(p=1)
         find_angles_random(ansatz, iters=40, rng=0, refine_top=2, score_batch_size=16)
-        assert ansatz._batched_workspace is not None
-        assert ansatz._batched_workspace.capacity <= 16
+        assert ansatz.workspace.capacity <= 16
 
     def test_vectorized_matches_scalar_backend_quality(self):
         ansatz = _maxcut_ansatz(p=2)

@@ -22,7 +22,6 @@ from repro.core import (
     simulate,
     simulate_batch,
 )
-from repro.core.workspace import Workspace
 from repro.hilbert import state_matrix
 from repro.mixers import (
     MultiAngleXMixer,
@@ -235,15 +234,8 @@ class TestDiagonalizedAllocationFree:
         finally:
             tracemalloc.stop()
         assert growth < mixer.dim * 16, f"apply grew the heap by {growth} bytes"
-
-    def test_apply_with_external_scratch(self):
-        mixer = mixer_clique(_N, _K)
-        ws = Workspace(mixer.dim)
-        psi = mixer.initial_state()
-        expected = mixer.apply(psi, 0.8)
-        got = mixer.apply(psi, 0.8, out=ws.state, scratch=ws.scratch)
-        assert got is ws.state
-        assert np.abs(got - expected).max() <= 1e-12
+        assert mixer.apply(psi, 0.3, out=out) is out
+        assert np.abs(out - mixer.apply(psi, 0.3)).max() <= 1e-12
 
 
 def test_sample_caches_normalized_probabilities():
@@ -265,9 +257,9 @@ def test_ansatz_expectation_batch_reuses_workspace():
     ansatz = QAOAAnsatz(obj, transverse_field_mixer(_N), 2)
     rng = np.random.default_rng(1)
     first = ansatz.expectation_batch(2.0 * np.pi * rng.random((8, 4)))
-    ws = ansatz._batched_workspace
-    assert ws is not None and ws.capacity == 8
+    ws = ansatz.workspace
+    assert ws.capacity == 8
     ansatz.expectation_batch(2.0 * np.pi * rng.random((3, 4)))
-    assert ansatz._batched_workspace is ws and ws.capacity == 8
+    assert ansatz.workspace is ws and ws.capacity == 8
     assert ansatz.counter.forward_passes == 11
     assert first.shape == (8,)

@@ -348,7 +348,10 @@ class TestWarmEntryBytesKinds:
 
         dim = 1 << 8
         base = warm_entry_bytes(dim, p=2)
-        assert base == dim * 8 + 3 * dim * 16 + 2 * 2 * dim * 16
+        # one (dim, 1) workspace: state/scratch/phase + aux + 2x2 layer slots
+        assert base == dim * 8 + (3 + 1 + 2 * 2) * dim * 16
+        assert warm_entry_bytes(dim, p=2, batch_capacity=1) == base
+        assert warm_entry_bytes(dim, p=2, batch_capacity=4) == dim * 8 + 8 * 4 * dim * 16
         assert warm_entry_bytes(dim, p=2, kind="dense") == base
 
     def test_sharded_accounts_all_workers(self):

@@ -265,7 +265,7 @@ class TestWarmPool:
         dim = entry.ansatz.schedule.dim
         assert entry.estimated_bytes == warm_entry_bytes(dim, p=spec.p)
         SolverService(pool=pool, result_cache=None).solve_many([_spec(s) for s in range(3)])
-        capacity = entry.ansatz._batched_workspace.capacity
+        capacity = entry.ansatz.workspace.capacity
         assert capacity >= 3 * 4  # 3 requests x 4 restarts
         assert entry.estimated_bytes == warm_entry_bytes(dim, p=spec.p, batch_capacity=capacity)
 

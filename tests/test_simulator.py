@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core import (
     PrecomputedCost,
+    BatchedWorkspace,
     QAOAResult,
-    Workspace,
     expectation_value,
     get_exp_value,
     random_angles,
@@ -109,14 +109,16 @@ class TestSimulateBasics:
         assert np.isclose(res.expectation(), maxcut_obj[5])
 
     def test_workspace_reuse(self, maxcut_obj, tf_mixer_6):
-        ws = Workspace(64)
+        ws = BatchedWorkspace(64)
         for seed in range(3):
             simulate(random_angles(2, rng=seed), tf_mixer_6, maxcut_obj, workspace=ws)
         assert ws.calls_served == 3
 
     def test_workspace_dimension_mismatch(self, maxcut_obj, tf_mixer_6):
         with pytest.raises(ValueError):
-            simulate(random_angles(2, rng=0), tf_mixer_6, maxcut_obj, workspace=Workspace(32))
+            simulate(
+                random_angles(2, rng=0), tf_mixer_6, maxcut_obj, workspace=BatchedWorkspace(32)
+            )
 
 
 class TestResultQueries:
