@@ -10,8 +10,8 @@ the repo root so later PRs can track it.
 The acceptance floors: at (n=8, p=3, M=128) on the transverse-field mixer the
 batched path must be at least 3x the scalar loop's throughput, and at
 (n=12, p=2, M=256) at least 1.2x.  The gates were recalibrated when the
-scalar entry points were collapsed into M=1 calls of the batched kernels
-(the backend-shim PR): the scalar loop now rides the same GEMM kernels, so
+scalar entry points were collapsed into M=1 calls of the batched kernels:
+the scalar loop now rides the same GEMM kernels, so
 at GEMM-dominated sizes the remaining batched win is batching efficiency
 alone, while at overhead-dominated sizes it stays several-fold.
 """
@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backend import active_backend
-from repro.bench.timing import merge_backend_records, time_call
+from repro.bench.timing import time_call
 from repro.bench.workloads import figure4_graph
 from repro.core import QAOAAnsatz
 from repro.hilbert import state_matrix
+from repro.io.results import write_json_atomic
 from repro.mixers import grover_mixer, mixer_clique, transverse_field_mixer
 from repro.problems.maxcut import maxcut_values
 
@@ -87,8 +87,8 @@ def _measure(label: str, mixer_factory, n: int, p: int, M: int) -> dict:
     }
 
 
-def _prior_numpy_throughput(path, key_fields, rate_field):
-    """Map of record key -> recorded numpy throughput from a prior BENCH file."""
+def _prior_throughput(path, key_fields, rate_field):
+    """Map of record key -> recorded throughput from a prior BENCH file."""
     if not path.exists():
         return {}
     try:
@@ -98,22 +98,22 @@ def _prior_numpy_throughput(path, key_fields, rate_field):
     return {
         tuple(record.get(f) for f in key_fields): record[rate_field]
         for record in previous.get("records", [])
-        if record.get("backend", "numpy") == "numpy" and rate_field in record
+        if rate_field in record
     }
 
 
 @pytest.mark.slow
 def test_batched_throughput_and_record():
-    backend = active_backend().name
     key_fields = ("mixer", "n", "p", "M")
-    prior = _prior_numpy_throughput(_RESULT_PATH, key_fields, "batched_evals_per_s")
+    prior = _prior_throughput(_RESULT_PATH, key_fields, "batched_evals_per_s")
     records = [_measure(*config) for config in _CONFIGS]
     payload = {
         "benchmark": "batched_eval",
         "unit": "seconds (min of 3 after warmup)",
         "numpy": np.__version__,
+        "records": records,
     }
-    merge_backend_records(_RESULT_PATH, payload, records, backend)
+    write_json_atomic(_RESULT_PATH, payload)
 
     # Two regimes, two floors.  Since the scalar collapse the scalar loop runs
     # the same batched kernels at M=1, so the large-n gate measures batching
@@ -126,20 +126,19 @@ def test_batched_throughput_and_record():
             f"at {key}; acceptance requires >= {floor}x"
         )
 
-    if backend == "numpy":
-        # The backend shim must not tax the numpy path: each row keeps at
-        # least 0.9x the throughput its previous numpy run recorded.  A
-        # sub-0.9x first reading gets one re-measure — wall clock at the
-        # ~10ms kernel scale swings past 10% under transient machine load.
-        configs = {(c[0], c[2], c[3], c[4]): c for c in _CONFIGS}
-        for record in records:
-            key = tuple(record[f] for f in key_fields)
-            if key in prior:
-                ratio = record["batched_evals_per_s"] / prior[key]
-                if ratio < 0.9:
-                    retry = _measure(*configs[key])
-                    ratio = max(ratio, retry["batched_evals_per_s"] / prior[key])
-                assert ratio >= 0.9, (
-                    f"numpy batched throughput regressed to {ratio:.2f}x the "
-                    f"prior recording at {key}; acceptance requires >= 0.9x"
-                )
+    # No regression: each row keeps at least 0.9x the throughput its previous
+    # run recorded.  A sub-0.9x first reading gets one re-measure — wall
+    # clock at the ~10ms kernel scale swings past 10% under transient
+    # machine load.
+    configs = {(c[0], c[2], c[3], c[4]): c for c in _CONFIGS}
+    for record in records:
+        key = tuple(record[f] for f in key_fields)
+        if key in prior:
+            ratio = record["batched_evals_per_s"] / prior[key]
+            if ratio < 0.9:
+                retry = _measure(*configs[key])
+                ratio = max(ratio, retry["batched_evals_per_s"] / prior[key])
+            assert ratio >= 0.9, (
+                f"batched throughput regressed to {ratio:.2f}x the prior "
+                f"recording at {key}; acceptance requires >= 0.9x"
+            )

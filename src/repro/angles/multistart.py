@@ -198,9 +198,6 @@ def _minimize_chunk(
     evaluated before the first poll, so results stay valid either way).
     """
     m, na = seeds.shape
-    # Small (active, na)-shaped reductions run on the ansatz's array backend
-    # alongside the batched kernels it dispatches.
-    ein = ansatz.backend.einsum
     x = seeds.copy()
     loss, grad = ansatz.loss_and_gradient_batch(x)
     loss = loss.copy()
@@ -252,15 +249,15 @@ def _minimize_chunk(
         active = x.shape[0]
         out_iter[cols] += 1
 
-        direction = -ein("mij,mj->mi", hess_inv, grad)
-        slope = ein("mi,mi->m", direction, grad)
+        direction = -np.einsum("mij,mj->mi", hess_inv, grad)
+        slope = np.einsum("mi,mi->m", direction, grad)
         ascent = slope >= 0.0
         if ascent.any():
             # Curvature information went bad; restart those columns steepest-descent.
             hess_inv[ascent] = np.eye(na)
             fresh[ascent] = True
             direction[ascent] = -grad[ascent]
-            slope[ascent] = -ein("mi,mi->m", grad[ascent], grad[ascent])
+            slope[ascent] = -np.einsum("mi,mi->m", grad[ascent], grad[ascent])
 
         # Per-column weak-Wolfe line search, lock-step: every round evaluates
         # the batched kernel once on the compacted sub-batch of still-searching
@@ -288,7 +285,7 @@ def _minimize_chunk(
             armijo = np.isfinite(f_t) & (
                 f_t <= loss[pending] + _ARMIJO_C1 * alpha[pending] * slope[pending]
             )
-            dphi = ein("mi,mi->m", g_t, direction[pending])
+            dphi = np.einsum("mi,mi->m", g_t, direction[pending])
             curv_ok = dphi >= _WOLFE_C2 * slope[pending]
             can_expand = expansions[pending] < _MAX_EXPANSIONS
 
@@ -347,20 +344,20 @@ def _minimize_chunk(
         # BFGS inverse-Hessian update for the columns that moved.
         step = x_new - x
         gdiff = grad_new - grad
-        curvature = ein("mi,mi->m", step, gdiff)
+        curvature = np.einsum("mi,mi->m", step, gdiff)
         upd = np.flatnonzero(~stalled & (curvature > _CURVATURE_FLOOR))
         if upd.size:
             scale_idx = upd[fresh[upd]]
             if scale_idx.size:
                 # First productive step: scale H0 toward the local curvature
                 # (Nocedal & Wright eq. 6.20) before the rank-two update.
-                ydoty = ein("mi,mi->m", gdiff[scale_idx], gdiff[scale_idx])
+                ydoty = np.einsum("mi,mi->m", gdiff[scale_idx], gdiff[scale_idx])
                 hess_inv[scale_idx] *= (curvature[scale_idx] / ydoty)[:, None, None]
                 fresh[scale_idx] = False
             s_u, y_u = step[upd], gdiff[upd]
             rho = 1.0 / curvature[upd]
-            hy = ein("mij,mj->mi", hess_inv[upd], y_u)
-            yhy = ein("mi,mi->m", y_u, hy)
+            hy = np.einsum("mij,mj->mi", hess_inv[upd], y_u)
+            yhy = np.einsum("mi,mi->m", y_u, hy)
             cross = s_u[:, :, None] * hy[:, None, :]
             updated = hess_inv[upd] - rho[:, None, None] * (
                 cross + cross.transpose(0, 2, 1)

@@ -25,7 +25,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..angles.result import AngleResult
-from ..backend import active_backend
 from ..core.ansatz import QAOAAnsatz
 from ..core.simulator import QAOAResult
 from ..hilbert.subspace import DickeSpace, FeasibleSpace, FullSpace
@@ -80,10 +79,10 @@ def _problem_for_key(key: str) -> ProblemInstance:
 def _memoized_mixer(mixer: MixerSpec, space: FeasibleSpace) -> Mixer:
     """The dense mixer ``mixer`` builds over ``space``, memoized.
 
-    Registry problems live on ``FullSpace(n)`` or ``DickeSpace(n, k)``, and a
-    mixer captures the active backend, so the canonical family, its params,
-    ``(n, k)`` and the backend name identify the operator exactly: solves of
-    different graphs with one mixer family share one eigendecomposition.
+    Registry problems live on ``FullSpace(n)`` or ``DickeSpace(n, k)``, so
+    the canonical family, its params and ``(n, k)`` identify the operator
+    exactly: solves of different graphs with one mixer family share one
+    eigendecomposition.
     """
     name = MIXERS.canonical(mixer.name) if mixer.name in MIXERS else mixer.name
     key = {
@@ -91,7 +90,6 @@ def _memoized_mixer(mixer: MixerSpec, space: FeasibleSpace) -> Mixer:
         "params": mixer.params,
         "n": space.n,
         "k": space.hamming_weight,
-        "backend": active_backend().name,
     }
     return _mixer_for_key(json.dumps(key, sort_keys=True))
 
@@ -269,9 +267,6 @@ class QAOASolver:
         solver = QAOASolver(spec)
         results = [solver.run(seed=s) for s in range(10)]
 
-    ``backend`` optionally pins the array backend the ansatz kernels run on
-    (defaults to the process-wide active backend, i.e. ``REPRO_BACKEND``).
-
     ``plan`` optionally pins the execution path (an
     :class:`~repro.api.routing.ExecutionPlan`); by default
     :func:`~repro.api.routing.select_execution_path` routes the spec to the
@@ -285,7 +280,6 @@ class QAOASolver:
         self,
         spec: SolveSpec | Mapping[str, Any],
         *,
-        backend=None,
         plan: ExecutionPlan | None = None,
     ):
         if not isinstance(spec, SolveSpec):
@@ -308,7 +302,6 @@ class QAOASolver:
                 spec.p,
                 n=structure.n,
                 maximize=structure.maximize,
-                backend=backend,
             )
         elif plan.path == "sharded":
             from ..hpc.sharded import ShardedAnsatz
@@ -320,14 +313,11 @@ class QAOASolver:
                 spec.p,
                 plan.shards,
                 mixer_params=dict(spec.mixer.params),
-                backend=backend,
             )
         else:
             self.problem = memoized_problem(spec.problem)
             self.mixer = _memoized_mixer(spec.mixer, self.problem.space)
-            self.ansatz = QAOAAnsatz.from_problem(
-                self.problem, self.mixer, spec.p, backend=backend
-            )
+            self.ansatz = QAOAAnsatz.from_problem(self.problem, self.mixer, spec.p)
 
     @classmethod
     def from_components(

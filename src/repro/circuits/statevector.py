@@ -27,14 +27,8 @@ def apply_gate(
     n: int,
     *,
     diagonal_fast_path: bool = True,
-    backend=None,
 ) -> np.ndarray:
-    """Apply one gate to a length-``2^n`` statevector and return the new state.
-
-    ``backend`` optionally supplies the
-    :class:`~repro.backend.base.ArrayBackend` that executes the gate-tensor
-    contraction (defaults to plain numpy).
-    """
+    """Apply one gate to a length-``2^n`` statevector and return the new state."""
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (1 << n,):
         raise ValueError(f"state has shape {state.shape}, expected ({1 << n},)")
@@ -60,8 +54,7 @@ def apply_gate(
     # Gate index ordering: qubits[0] is the least-significant bit of the gate
     # matrix index, so axis order (MSB first) is qubits[k-1], ..., qubits[0].
     in_axes = [n - 1 - q for q in reversed(gate.qubits)]
-    contract = np.tensordot if backend is None else backend.tensordot
-    moved = contract(gate_tensor, tensor, axes=(list(range(k, 2 * k)), in_axes))
+    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), in_axes))
     remaining = [axis for axis in range(n) if axis not in in_axes]
     current_order = in_axes + remaining
     result = np.transpose(moved, np.argsort(current_order))
@@ -77,21 +70,12 @@ class StatevectorBackend:
         Whether diagonal gates use the cheap phase-multiply path.  The
         "QAOAKit-like" baseline disables it to emulate a framework that treats
         every gate as a dense matrix.
-    backend:
-        Optional :class:`~repro.backend.base.ArrayBackend` for the gate
-        contractions; defaults to the process-wide active backend at
-        construction time.
     """
 
     name = "statevector"
 
-    def __init__(self, diagonal_fast_path: bool = True, *, backend=None):
+    def __init__(self, diagonal_fast_path: bool = True):
         self.diagonal_fast_path = bool(diagonal_fast_path)
-        if backend is None:
-            from ..backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         #: number of individual gate applications performed (for benchmarks)
         self.gates_applied = 0
 
@@ -111,7 +95,6 @@ class StatevectorBackend:
                 gate,
                 circuit.n,
                 diagonal_fast_path=self.diagonal_fast_path,
-                backend=self.backend,
             )
             self.gates_applied += 1
         return state

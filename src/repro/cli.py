@@ -37,11 +37,6 @@ Commands
     at each deadline, time-to-quality gates) and write ``BENCH_portfolio.json``.
     Exit code 1 if any gate fails.
 
-``repro backend-info``
-    Print the resolved array backend (``REPRO_BACKEND``), its device and the
-    relevant library/BLAS versions as JSON — what the CI backend-matrix jobs
-    log before running the suites.
-
 ``repro status``
     Summarize every run store under ``--out`` (tasks completed, rows, state).
 
@@ -261,11 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="output document path (default: BENCH_<suite>.json)",
-    )
-
-    sub.add_parser(
-        "backend-info",
-        help="print the resolved array backend and its library/BLAS details",
     )
 
     p_status = sub.add_parser("status", help="summarize run stores under --out")
@@ -580,14 +570,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if document["all_gates_passed"] else 1
 
 
-def _cmd_backend_info(args: argparse.Namespace) -> int:
-    del args
-    from .backend import backend_info
-
-    print(json.dumps(backend_info(), indent=2, sort_keys=True, default=str))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -597,7 +579,6 @@ def main(argv: list[str] | None = None) -> int:
         "solve": _cmd_solve,
         "serve": _cmd_serve,
         "bench": _cmd_bench,
-        "backend-info": _cmd_backend_info,
         "status": _cmd_status,
         "report": _cmd_report,
     }

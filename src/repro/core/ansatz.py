@@ -47,10 +47,6 @@ class QAOAAnsatz:
         Optional custom initial state (warm starts).
     maximize:
         Whether the underlying problem is a maximization (default True).
-    backend:
-        Optional :class:`~repro.backend.base.ArrayBackend` the ansatz's
-        workspace (and through it every kernel call) runs on; defaults to
-        the process-wide active backend at construction time.
     """
 
     # Always None.  ``perfbench/bench_trace.py`` still sums this name's
@@ -65,7 +61,6 @@ class QAOAAnsatz:
         *,
         initial_state: np.ndarray | None = None,
         maximize: bool = True,
-        backend=None,
     ):
         if isinstance(mixer, MixerSchedule):
             schedule = mixer
@@ -104,14 +99,9 @@ class QAOAAnsatz:
                 initial_state = initial_state / norm
         self.initial_state = initial_state
         self.maximize = bool(maximize)
-        if backend is None:
-            from ..backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         #: the one workspace every scalar and batched call runs on; grown
         #: (never shrunk) to the largest batch seen
-        self.workspace = BatchedWorkspace(schedule.dim, backend=backend)
+        self.workspace = BatchedWorkspace(schedule.dim)
         #: evaluation bookkeeping shared by value and gradient calls
         self.counter = EvaluationCounter()
 
@@ -124,7 +114,6 @@ class QAOAAnsatz:
         p: int | None = None,
         *,
         initial_state: np.ndarray | None = None,
-        backend=None,
     ) -> "QAOAAnsatz":
         """Build an ansatz from a :class:`~repro.problems.registry.ProblemInstance`.
 
@@ -138,10 +127,7 @@ class QAOAAnsatz:
             space=problem.space,
             maximize=problem.maximize,
         )
-        return cls(
-            cost, mixer, p, initial_state=initial_state, maximize=problem.maximize,
-            backend=backend,
-        )
+        return cls(cost, mixer, p, initial_state=initial_state, maximize=problem.maximize)
 
     # ------------------------------------------------------------------
     @property
@@ -290,7 +276,6 @@ class QAOAAnsatz:
             p,
             initial_state=self.initial_state,
             maximize=self.maximize,
-            backend=self.backend,
         )
 
     def sibling(self) -> "QAOAAnsatz":
@@ -307,7 +292,6 @@ class QAOAAnsatz:
             self.schedule,
             initial_state=self.initial_state,
             maximize=self.maximize,
-            backend=self.backend,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

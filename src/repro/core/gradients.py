@@ -122,18 +122,14 @@ def qaoa_gradient(
     return qaoa_value_and_gradient(angles, mixer, obj_vals, **kwargs)[1]
 
 
-def _batched_imag_vdot(a: np.ndarray, b: np.ndarray, backend=None) -> np.ndarray:
+def _batched_imag_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Im(<a_j | b_j>)`` for every column ``j`` — no temporaries, no conj copy."""
-    ein = np.einsum if backend is None else backend.einsum
-    return ein("dm,dm->m", a.real, b.imag) - ein("dm,dm->m", a.imag, b.real)
+    return np.einsum("dm,dm->m", a.real, b.imag) - np.einsum("dm,dm->m", a.imag, b.real)
 
 
-def _batched_weighted_imag_vdot(
-    weights: np.ndarray, a: np.ndarray, b: np.ndarray, backend=None
-) -> np.ndarray:
+def _batched_weighted_imag_vdot(weights: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Im(<a_j | diag(weights) | b_j>)`` for every column ``j`` (real weights)."""
-    ein = np.einsum if backend is None else backend.einsum
-    return ein("d,dm,dm->m", weights, a.real, b.imag) - ein(
+    return np.einsum("d,dm,dm->m", weights, a.real, b.imag) - np.einsum(
         "d,dm,dm->m", weights, a.imag, b.real
     )
 
@@ -199,10 +195,9 @@ def qaoa_value_and_gradient_batch(
     )
     if counter is not None:
         counter.forward_passes += M
-    bk = workspace.backend
     probs = np.abs(psi)
     np.square(probs, out=probs)
-    energies = bk.matmul(values, probs)
+    energies = np.matmul(values, probs)
 
     # Backward (adjoint) pass: phi lives in the workspace state buffer (psi is
     # no longer needed once the energies and the layer store exist).
@@ -228,13 +223,13 @@ def qaoa_value_and_gradient_batch(
             mixer_k.apply_batch(phi, -beta_k, out=phi, workspace=workspace)
         else:
             h_psi = mixer_k.apply_hamiltonian_batch(psi_k, out=aux, workspace=workspace)
-            grad_betas[k] = (2.0 * _batched_imag_vdot(phi, h_psi, bk))[None, :]
+            grad_betas[k] = (2.0 * _batched_imag_vdot(phi, h_psi))[None, :]
             if counter is not None:
                 counter.hamiltonian_applications += M
             mixer_k.apply_batch(phi, -beta_k[0], out=phi, workspace=workspace)
 
         # Gamma derivative uses the adjoint batch *before* the mixer.
-        grad_gammas[k] = 2.0 * _batched_weighted_imag_vdot(values, phi, chi_k, bk)
+        grad_gammas[k] = 2.0 * _batched_weighted_imag_vdot(values, phi, chi_k)
         if k:
             # Undo the phase separator to obtain phi_{k-1} (per-column
             # phases); phi_{-1} is never read, so the last round skips it.

@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend import active_backend
 from ..mixers.base import Mixer
 from ..mixers.schedules import MixerSchedule
 from .precompute import PrecomputedCost
@@ -547,5 +546,4 @@ def expectation_value_batch(
     )
     probs = np.abs(psi)
     np.square(probs, out=probs)
-    bk = workspace.backend if workspace is not None else active_backend()
-    return bk.matmul(values, probs)
+    return np.matmul(values, probs)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend import active_backend
-
 __all__ = ["BatchedWorkspace", "default_eval_batch"]
 
 
@@ -46,13 +44,10 @@ class BatchedWorkspace:
     Capacity grows on demand and never shrinks.
     """
 
-    def __init__(self, dim: int, batch: int = 1, *, backend=None):
+    def __init__(self, dim: int, batch: int = 1):
         if dim < 1:
             raise ValueError("workspace dimension must be positive")
         self.dim = int(dim)
-        #: the array backend the batched kernels dispatch through (captured at
-        #: construction; a later process-wide switch doesn't retarget it)
-        self.backend = backend if backend is not None else active_backend()
         self._capacity = 0
         self._state: np.ndarray | None = None
         self._scratch: np.ndarray | None = None

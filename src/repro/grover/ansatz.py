@@ -129,9 +129,6 @@ class CompressedGroverAnsatz:
         Number of qubits (reporting only; the evolution never touches 2^n).
     maximize:
         Optimization sense; determines which spectrum end is "optimal".
-    backend:
-        Optional array backend (recorded for the strategies' ``einsum``
-        calls; compressed arrays are small, so NumPy is always fine).
     """
 
     def __init__(
@@ -141,7 +138,6 @@ class CompressedGroverAnsatz:
         *,
         n: int,
         maximize: bool = True,
-        backend=None,
     ):
         if p < 1:
             raise ValueError("a QAOA needs at least one round")
@@ -150,11 +146,6 @@ class CompressedGroverAnsatz:
         self._n = int(n)
         self.schedule = _CompressedSchedule(spectrum.num_distinct, p)
         self.initial_state = None
-        if backend is None:
-            from ..backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         self.counter = EvaluationCounter()
         self._values = np.asarray(spectrum.values, dtype=np.float64)
         self._degs = spectrum.degeneracy_array()

@@ -107,7 +107,6 @@ class ShardedAnsatz:
         shards: int,
         *,
         mixer_params: dict | None = None,
-        backend=None,
     ):
         config = sharded_mixer_config(mixer_name, structure.n, mixer_params)
         self.executor = ShardedExecutor(structure, config, p, shards)
@@ -117,11 +116,6 @@ class ShardedAnsatz:
             structure.dim, p, config.betas_per_round * p
         )
         self.initial_state = None
-        if backend is None:
-            from ...backend import active_backend
-
-            backend = active_backend()
-        self.backend = backend
         self.counter = EvaluationCounter()
 
     # ------------------------------------------------------------------

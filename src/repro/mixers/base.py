@@ -27,10 +27,24 @@ import threading
 
 import numpy as np
 
-from ..backend import active_backend
 from ..hilbert.subspace import FeasibleSpace
 
-__all__ = ["Mixer", "DiagonalizedMixer"]
+__all__ = ["Mixer", "DiagonalizedMixer", "real_gemm"]
+
+
+def real_gemm(factor: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``factor @ src`` for a real ``factor`` and complex ``src``/``out``.
+
+    Runs one real GEMM over the interleaved re/im float view — exact (the
+    factor is real) and half the flops of a complex GEMM.  ``src`` and ``out``
+    must be C-contiguous complex128 and must not alias.
+    """
+    np.matmul(
+        factor,
+        src.view(np.float64).reshape(src.shape[0], -1),
+        out=out.view(np.float64).reshape(out.shape[0], -1),
+    )
+    return out
 
 
 class Mixer(abc.ABC):
@@ -39,11 +53,8 @@ class Mixer(abc.ABC):
     #: The feasible space the mixer acts on.
     space: FeasibleSpace
 
-    def __init__(self, space: FeasibleSpace, *, backend=None):
+    def __init__(self, space: FeasibleSpace):
         self.space = space
-        #: the array backend the mixer's dense kernels dispatch through when no
-        #: workspace (which carries its own backend) is supplied
-        self.backend = backend if backend is not None else active_backend()
         # The M=1 workspace behind apply / apply_hamiltonian (single-column
         # calls of the batched kernels), so those allocate nothing given
         # ``out``.  Thread-local because concurrent angle scans may share one
@@ -71,7 +82,7 @@ class Mixer(abc.ABC):
     # apply_hamiltonian_batch); the base class derives the other direction.
     # The optimized families implement only the batched kernels — the scalar
     # entry points below are their M=1 column calls, so there is exactly one
-    # code path per family and one place to port per array backend.
+    # code path per family.
 
     def _scalar_workspace(self):
         """This thread's cached ``(dim, 1)`` workspace for the M=1 wrappers."""
@@ -80,7 +91,7 @@ class Mixer(abc.ABC):
         if workspace is None:
             from ..core.workspace import BatchedWorkspace
 
-            workspace = store.workspace = BatchedWorkspace(self.dim, 1, backend=self.backend)
+            workspace = store.workspace = BatchedWorkspace(self.dim, 1)
         return workspace
 
     def _scalar_via_batch(self, kernel, psi: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -359,22 +370,18 @@ class DiagonalizedMixer(Mixer):
         # historical name, still used by matrix() and external callers
         self._eigenvectors_dag = self._Vdag
 
-    def _basis_change(
-        self, factor: np.ndarray, src: np.ndarray, out: np.ndarray, backend=None
-    ) -> np.ndarray:
+    def _basis_change(self, factor: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``factor @ src`` for complex ``src``/``out``, allocation-free.
 
         With a real eigenbasis and contiguous operands the product runs as a
         single real GEMM over the interleaved re/im float view, which is exact
         (the factor is real) and avoids per-call complex promotion of the
-        factor.  ``out`` must not alias ``src``.  The GEMM dispatches through
-        ``backend`` (default: the mixer's own).
+        factor.  ``out`` must not alias ``src``.
         """
-        bk = self.backend if backend is None else backend
         if self._real_basis and src.flags.c_contiguous and out.flags.c_contiguous:
-            bk.real_gemm(factor, src, out)
+            real_gemm(factor, src, out)
         else:
-            bk.matmul(factor, src, out=out)
+            np.matmul(factor, src, out=out)
         return out
 
     def apply_batch(
@@ -391,12 +398,10 @@ class DiagonalizedMixer(Mixer):
         if workspace is not None:
             coeffs = workspace.scratch(M)
             phases = workspace.phase(M)
-            bk = workspace.backend
         else:
             coeffs = np.empty((self.dim, M), dtype=np.complex128)
             phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        self._basis_change(self._Vdag, Psi, coeffs, bk)
+        self._basis_change(self._Vdag, Psi, coeffs)
         if M > 0 and betas.min() == betas.max():
             # Uniform batch (every column shares one angle): a single phase
             # vector — the first dim elements of the phase buffer —
@@ -409,7 +414,7 @@ class DiagonalizedMixer(Mixer):
             np.multiply(self.eigenvalues[:, None], -1j * betas[None, :], out=phases)
             np.exp(phases, out=phases)
             coeffs *= phases
-        self._basis_change(self._V, coeffs, out, bk)
+        self._basis_change(self._V, coeffs, out)
         return out
 
     def apply_hamiltonian_batch(
@@ -423,13 +428,11 @@ class DiagonalizedMixer(Mixer):
         Psi, out, M = self._check_batch(Psi, out)
         if workspace is not None:
             coeffs = workspace.scratch(M)
-            bk = workspace.backend
         else:
             coeffs = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        self._basis_change(self._Vdag, Psi, coeffs, bk)
+        self._basis_change(self._Vdag, Psi, coeffs)
         coeffs *= self.eigenvalues[:, None]
-        self._basis_change(self._V, coeffs, out, bk)
+        self._basis_change(self._V, coeffs, out)
         return out
 
     def matrix(self) -> np.ndarray:

@@ -64,8 +64,7 @@ class GroverMixer(Mixer):
         """
         Psi, out, M = self._check_batch(Psi, out)
         betas = self._batch_angles(betas, M)
-        bk = workspace.backend if workspace is not None else self.backend
-        overlaps = bk.matmul(self._psi0_conj, Psi)
+        overlaps = np.matmul(self._psi0_conj, Psi)
         factors = (np.exp(-1j * betas) - 1.0) * overlaps
         if out is not Psi:
             out[:] = Psi
@@ -85,8 +84,7 @@ class GroverMixer(Mixer):
     ) -> np.ndarray:
         """Batched rank-one product: one GEMV of overlaps, one outer product."""
         Psi, out, M = self._check_batch(Psi, out)
-        bk = workspace.backend if workspace is not None else self.backend
-        overlaps = bk.matmul(self._psi0_conj, Psi)
+        overlaps = np.matmul(self._psi0_conj, Psi)
         np.multiply(self.psi0[:, None], overlaps[None, :], out=out)
         return out
 

@@ -140,15 +140,14 @@ class FixedUnitaryMixer(DiagonalizedMixer):
         Psi, out, M = self._check_batch(Psi, out)
         betas = self._batch_angles(betas, M)
         if M > 0 and np.all(betas == 1.0):
-            bk = workspace.backend if workspace is not None else self.backend
             if np.may_share_memory(out, Psi):
                 if workspace is not None:
-                    result = bk.matmul(self.unitary, Psi, out=workspace.scratch(M))
+                    result = np.matmul(self.unitary, Psi, out=workspace.scratch(M))
                 else:
-                    result = bk.matmul(self.unitary, Psi)
+                    result = np.matmul(self.unitary, Psi)
                 out[:] = result
             else:
-                bk.matmul(self.unitary, Psi, out=out)
+                np.matmul(self.unitary, Psi, out=out)
             return out
         return super().apply_batch(Psi, betas, out=out, workspace=workspace)
 

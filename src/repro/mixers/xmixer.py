@@ -147,14 +147,12 @@ def _wht_diagonal_product(
     Psi, out, M = mixer._check_batch(Psi, out)
     if workspace is not None:
         scratch = workspace.scratch(M)
-        bk = workspace.backend
     else:
         scratch = np.empty((mixer.dim, M), dtype=np.complex128)
-        bk = mixer.backend
     h_hi, h_lo = hadamard_pair
-    bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+    walsh_hadamard_gemm(Psi, scratch, out, h_hi, h_lo)
     out *= (diagonal * (1.0 / mixer.dim))[:, None]
-    bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+    walsh_hadamard_gemm(out, scratch, out, h_hi, h_lo)
     return out
 
 
@@ -243,11 +241,9 @@ class XMixer(Mixer):
         if workspace is not None:
             scratch = workspace.scratch(M)
             phases = workspace.phase(M)
-            bk = workspace.backend
         else:
             scratch = np.empty((self.dim, M), dtype=np.complex128)
             phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
         # eigenphases x (1/dim): the latter absorbs both transform norms
         levels = self._diag_values
         scale = 1.0 / self.dim
@@ -262,9 +258,9 @@ class XMixer(Mixer):
             np.exp(phases, out=phases)
             phases *= scale
         h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+        walsh_hadamard_gemm(Psi, scratch, out, h_hi, h_lo)
         out *= phases
-        bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+        walsh_hadamard_gemm(out, scratch, out, h_hi, h_lo)
         return out
 
     def apply_hamiltonian_batch(
@@ -403,26 +399,22 @@ class MultiAngleXMixer(Mixer):
         elif betas.ndim == 1:
             if betas.shape != (M,):
                 raise ValueError(f"betas have shape {betas.shape}, expected ({M},)")
-            # materialized (not a zero-stride broadcast view) so the phase
-            # GEMM below stays dispatchable on every backend
-            betas = np.ascontiguousarray(np.broadcast_to(betas, (self.num_angles, M)))
+            betas = np.broadcast_to(betas, (self.num_angles, M))
         if betas.shape != (self.num_angles, M):
             raise ValueError(f"betas have shape {betas.shape}, expected ({self.num_angles}, {M})")
         if workspace is not None:
             scratch = workspace.scratch(M)
             phases = workspace.phase(M)
-            bk = workspace.backend
         else:
             scratch = np.empty((self.dim, M), dtype=np.complex128)
             phases = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
-        bk.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
+        np.matmul(self._term_diag_T_negj, np.ascontiguousarray(betas), out=phases)
         np.exp(phases, out=phases)
         phases *= 1.0 / self.dim  # absorbs both transforms' 2^{-n/2} norms
         h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Psi, scratch, out, h_hi, h_lo)
+        walsh_hadamard_gemm(Psi, scratch, out, h_hi, h_lo)
         out *= phases
-        bk.wht_gemm(out, scratch, out, h_hi, h_lo)
+        walsh_hadamard_gemm(out, scratch, out, h_hi, h_lo)
         return out
 
     def apply_hamiltonian_batch(
@@ -467,22 +459,20 @@ class MultiAngleXMixer(Mixer):
             via = workspace.scratch(M)
             wphi = workspace.phase(M)
             wpsi = workspace.aux(M)
-            bk = workspace.backend
         else:
             via = np.empty((self.dim, M), dtype=np.complex128)
             wphi = np.empty((self.dim, M), dtype=np.complex128)
             wpsi = np.empty((self.dim, M), dtype=np.complex128)
-            bk = self.backend
         h_hi, h_lo = self._hadamard_pair
-        bk.wht_gemm(Phi, via, wphi, h_hi, h_lo)
-        bk.wht_gemm(Psi, via, wpsi, h_hi, h_lo)
+        walsh_hadamard_gemm(Phi, via, wphi, h_hi, h_lo)
+        walsh_hadamard_gemm(Psi, via, wpsi, h_hi, h_lo)
         # A = conj(W phi) * (W psi); both transforms are unnormalized, so A
         # carries an extra factor of dim that the final scale removes.
         np.conjugate(wphi, out=wphi)
         wphi *= wpsi
         # One real GEMM against the interleaved re/im view gives the real and
         # imaginary parts of every <W phi| d_t |W psi> side by side.
-        products = bk.matmul(
+        products = np.matmul(
             self.term_diagonals, wphi.view(np.float64).reshape(self.dim, 2 * M)
         )
         return (2.0 / self.dim) * products[:, 1::2]

@@ -31,6 +31,7 @@ from repro.mixers import (
     mixer_ring,
     transverse_field_mixer,
 )
+from repro.mixers.base import real_gemm
 from repro.mixers.unitary import FixedUnitaryMixer, HermitianMixer
 from repro.problems import erdos_renyi, maxcut_values
 
@@ -236,6 +237,15 @@ class TestDiagonalizedAllocationFree:
         assert growth < mixer.dim * 16, f"apply grew the heap by {growth} bytes"
         assert mixer.apply(psi, 0.3, out=out) is out
         assert np.abs(out - mixer.apply(psi, 0.3)).max() <= 1e-12
+
+
+def test_real_gemm_matches_complex_product():
+    rng = np.random.default_rng(7)
+    factor = rng.standard_normal((6, 6))
+    src = np.ascontiguousarray(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    out = np.empty((6, 3), dtype=np.complex128)
+    real_gemm(factor, src, out)
+    np.testing.assert_allclose(out, factor @ src, rtol=0, atol=1e-12)
 
 
 def test_sample_caches_normalized_probabilities():

@@ -402,20 +402,6 @@ class TestProblemMemo:
         assert a.pairs == ((0, 1), (1, 2), (2, 3))
         assert b.pairs == ((0, 5), (1, 4), (2, 3))
 
-    def test_mixer_memo_keyed_by_backend(self):
-        pytest.importorskip("torch")
-        from repro.api.solver import QAOASolver
-        from repro.backend import use_backend
-
-        clear_problem_memo()
-        spec = self._dicke_spec()
-        with use_backend("numpy"):
-            numpy_mixer = QAOASolver(spec).mixer
-        with use_backend("torch"):
-            torch_mixer = QAOASolver(spec).mixer
-        assert torch_mixer is not numpy_mixer
-        assert (numpy_mixer.backend.name, torch_mixer.backend.name) == ("numpy", "torch")
-
     def test_clear_problem_memo_drops_the_mixer(self):
         from repro.api.solver import QAOASolver
 

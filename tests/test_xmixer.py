@@ -12,8 +12,10 @@ from repro.hilbert import uniform_superposition
 from repro.mixers.xmixer import (
     MultiAngleXMixer,
     XMixer,
+    _hadamard_factors,
     mixer_x,
     transverse_field_mixer,
+    walsh_hadamard_gemm,
     walsh_hadamard_transform,
     x_term_diagonal,
 )
@@ -74,6 +76,20 @@ class TestWalshHadamard:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             walsh_hadamard_transform(np.zeros(6))
+
+    def test_wht_gemm_matches_butterfly(self):
+        rng = np.random.default_rng(7)
+        n = 6
+        dim = 1 << n
+        src = np.ascontiguousarray(
+            rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        )
+        via = np.empty_like(src)
+        dst = np.empty_like(src)
+        h_hi, h_lo = _hadamard_factors(n)
+        walsh_hadamard_gemm(src, via, dst, h_hi, h_lo)
+        expected = walsh_hadamard_transform(src) * (2.0 ** (n / 2.0))  # unnormalized
+        np.testing.assert_allclose(dst, expected, rtol=0, atol=1e-10)
 
 
 class TestXTermDiagonal:
